@@ -1,11 +1,13 @@
 #include "mapper/decoupled_mapper.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -17,16 +19,6 @@
 #include "support/stopwatch.hpp"
 
 namespace monomap {
-
-/// Cross-II state threaded through one speculative attempt's mapping loop:
-/// the shared store, this attempt's II, and the local certificate snapshot
-/// the schedule prefilter scans.
-struct DecoupledMapper::CrossIiContext {
-  CrossIiNogoodStore* store = nullptr;
-  int attempt_ii = 0;
-  std::size_t cursor = 0;                // drain position in the store
-  std::vector<SlotPartitionCert> certs;  // local snapshot for the prefilter
-};
 
 namespace {
 
@@ -85,9 +77,16 @@ void merge_attempt_counters(MapResult& into, const MapResult& from) {
   t.nogoods_lifted_cross_ii += f.nogoods_lifted_cross_ii;
 }
 
+/// The deadline for entry points without one: options.timeout_s, where
+/// <= 0 means unlimited.
+Deadline default_deadline(const DecoupledMapperOptions& options) {
+  return options.timeout_s > 0 ? Deadline(options.timeout_s)
+                               : Deadline::unlimited();
+}
+
 /// Create this request's governor when a budget is configured and no outer
-/// scope already bound one (nested calls — the anytime probe, portfolio
-/// racers on the caller's thread — inherit the outer request's budget).
+/// scope already bound one (nested calls — portfolio racers on the
+/// caller's thread — inherit the outer request's budget).
 std::unique_ptr<ResourceGovernor> make_request_governor(
     std::size_t memory_budget_mb) {
   if (GovernorScope::current() != nullptr || memory_budget_mb == 0) {
@@ -96,161 +95,392 @@ std::unique_ptr<ResourceGovernor> make_request_governor(
   return std::make_unique<ResourceGovernor>(memory_budget_mb << 20);
 }
 
-/// Fold governor telemetry into the result and backstop the memory
-/// classification: a tripped governor on a non-success is a memory
-/// outcome even when the trip surfaced through a generic timeout path.
-void absorb_governor(MapResult& r, const ResourceGovernor* gov) {
-  if (gov == nullptr) return;
-  r.mem_peak_bytes = std::max(r.mem_peak_bytes, gov->peak());
-  r.mem_sheds += gov->sheds();
-  if (gov->tripped()) {
-    if (!r.success && !r.cancelled) r.memory_out = true;
-    r.causes.push_back({"governor", gov->trip_reason()});
+// The II attempts are CPU-bound SAT/search work: workers beyond the
+// machine's cores only timeslice against each other, turning speculation
+// from free use of spare cores into a tax on the frontier attempt. Treat
+// the requested thread count as a ceiling; on a small machine the race
+// degenerates gracefully toward the sequential walk (queued attempts run
+// frontier-first and a win cancels them before they start).
+int clamp_pool_threads(int requested) {
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  if (requested <= 0) return cores;
+  return std::min(requested, cores);
+}
+
+/// Wait for the pool's walks. A worker that died past its retry budget
+/// leaves its walk uncommitted (IiWalk::take() classifies that as a fault,
+/// so one poisoned case cannot sink a batch); anything else —
+/// AssertionError above all — propagates.
+void drain_pool(WorkStealingPool& pool) {
+  const std::exception_ptr error = pool.wait_idle_collect();
+  if (error == nullptr) return;
+  try {
+    std::rethrow_exception(error);
+  } catch (const fault::FaultInjectedError&) {
+  } catch (const std::bad_alloc&) {
   }
 }
 
 }  // namespace
 
+/// The one II walk behind map(), map_warm(), map_speculative() and
+/// map_batch(): attempts pinned to one II each (run_mapping_loop) from
+/// max(mII, time.min_ii, refuted floor + 1) up to the ceiling, where a
+/// feasible II commits only once every smaller II is resolved. The walk
+/// owns the policy around the attempts — sound interval, walk-wide schedule
+/// budget, anytime probe and degrade merge, fault retries, governor binding
+/// (docs/robustness.md states the rules).
+///
+/// Completion-driven: no thread ever blocks waiting for an attempt. Each
+/// attempt's tail resolves it under the mutex, advances the frontier and
+/// launches what the window [frontier, frontier + lookahead] is missing.
+/// With a pool the attempts are its tasks; without one, start() runs them
+/// on the calling thread, one II at a time.
+class DecoupledMapper::IiWalk {
+ public:
+  IiWalk(const DecoupledMapper& mapper, const Dfg& dfg, const CgraArch& arch,
+         const Deadline& base, CrossIiNogoodStore* store, int refuted_floor,
+         int lookahead, WorkStealingPool* pool)
+      : mapper_(mapper),
+        opt_(mapper.options_),
+        dfg_(dfg),
+        arch_(arch),
+        base_(base),
+        store_(store),
+        pool_(pool),
+        gov_(GovernorScope::current()),
+        mii_(compute_mii(dfg, arch)),
+        ceiling_(opt_.time.max_ii > 0
+                     ? opt_.time.max_ii
+                     : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),
+        // A walk-wide schedule budget makes every attempt's budget depend
+        // on the work of the IIs below it, so such walks never speculate.
+        lookahead_(pool != nullptr && opt_.max_schedules <= 0
+                       ? std::max(lookahead, 0)
+                       : 0),
+        walk_top_(ceiling_),
+        frontier_(std::max({mii_.mii(), opt_.time.min_ii, refuted_floor + 1})),
+        // IIs below mII are refuted by the bound itself; the floor is sound
+        // by contract.
+        refuted_up_to_(std::max(refuted_floor, mii_.mii() - 1)) {}
+
+  /// Launch the walk (the anytime probe first). Without a pool this runs
+  /// the whole walk before returning.
+  void start() {
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      if (opt_.anytime && frontier_ <= ceiling_) {
+        submit_locked([this] {
+          MapResult r =
+              attempt(ceiling_, base_.cancel_token(), /*schedules_spent=*/0);
+          const std::lock_guard<std::mutex> lock(m_);
+          probe_ = std::move(r);
+          if (probe_.success) {
+            best_feasible_ = ceiling_;
+            walk_top_ = ceiling_ - 1;
+          }
+          // A failed probe leaves no safety net: the walk covers the whole
+          // range.
+          advance_locked();
+        });
+      } else {
+        advance_locked();
+      }
+    }
+    while (!inline_.empty()) {  // only filled without a pool
+      const std::function<void()> task = std::move(inline_.front());
+      inline_.pop_front();
+      task();
+    }
+  }
+
+  /// The committed result, once the walk has run. If a worker failure left
+  /// the walk uncommitted (an attempt's tail never ran), the accumulated
+  /// effort ends the walk classified as a fault instead of asserting —
+  /// batch siblings must not lose their results over it.
+  MapResult take() {
+    const std::lock_guard<std::mutex> lock(m_);
+    if (!done_) {
+      MapResult aborted = std::move(aggregate_);
+      aborted.faulted = true;
+      aborted.timed_out = true;
+      aborted.failure_reason = "II walk aborted by a worker failure";
+      aborted.causes.push_back(
+          {"walk", "worker failed before the walk committed"});
+      end_walk_locked(std::move(aborted));
+    }
+    // Governor telemetry, and the memory backstop: a tripped governor on a
+    // non-success is a memory outcome even when the trip surfaced through
+    // a generic timeout path.
+    if (gov_ != nullptr) {
+      final_.mem_peak_bytes = std::max(final_.mem_peak_bytes, gov_->peak());
+      final_.mem_sheds += gov_->sheds();
+      if (gov_->tripped()) {
+        if (!final_.success && !final_.cancelled) final_.memory_out = true;
+        final_.causes.push_back({"governor", gov_->trip_reason()});
+      }
+    }
+    finalize_outcome(final_);
+    return std::move(final_);
+  }
+
+ private:
+  struct Attempt {
+    explicit Attempt(const CancelToken* parent) : token(parent) {}
+    CancelToken token;  // parented to the caller's token, if any
+    bool running = true;
+    MapResult result;
+  };
+
+  void submit_locked(std::function<void()> task) {
+    if (pool_ != nullptr) {
+      pool_->submit(std::move(task));
+    } else {
+      inline_.push_back(std::move(task));
+    }
+  }
+
+  /// One pinned attempt, on whatever thread runs it.
+  MapResult attempt(int ii, const CancelToken* token,
+                    int schedules_spent) const {
+    // Pool workers are fresh threads: bind the request's governor so the
+    // attempt's solvers charge the shared budget.
+    const GovernorScope scope(gov_);
+    // The attempt shares the walk's wall budget (remaining as of its start
+    // — both deadlines tick from the same instant) and carries its own
+    // cancel token so a smaller feasible II can cut it individually.
+    const Deadline deadline(base_.remaining_s(), token);
+    // Fault containment: an injected fault (or allocation failure) escaping
+    // the attempt abandons its state entirely — solvers may be mid-search —
+    // and retries from scratch after a bounded backoff; one that outlives
+    // the retry budget (or the deadline) becomes the attempt's verdict.
+    // AssertionError is NOT caught: an invariant violation is a bug, not a
+    // fault to retry.
+    for (int retries = 0;; ++retries) {
+      MapResult r;
+      try {
+        r = mapper_.run_mapping_loop(dfg_, arch_, ii, deadline, store_, mii_,
+                                     schedules_spent);
+        r.fault_retries += retries;
+        return r;
+      } catch (const fault::FaultInjectedError& e) {
+        r.faulted = true;
+        r.timed_out = true;
+        r.failure_reason = std::string("injected fault: ") + e.what();
+        r.causes.push_back({e.site(), "injected fault"});
+      } catch (const std::bad_alloc&) {
+        r.memory_out = true;
+        r.timed_out = true;
+        r.failure_reason = "allocation failure";
+        r.causes.push_back({"alloc", "allocation failure"});
+      }
+      if (retries >= opt_.max_fault_retries ||
+          !fault::backoff_sleep(deadline, retries)) {
+        r.fault_retries = retries;
+        r.cancelled = deadline.cancel_fired();
+        return r;
+      }
+    }
+  }
+
+  void resolve_locked(int ii, Attempt& a, MapResult r) {
+    a.result = std::move(r);
+    a.running = false;
+    if (a.result.success && (best_feasible_ < 0 || ii < best_feasible_)) {
+      best_feasible_ = ii;
+      // Larger IIs can no longer win — cancel them; smaller ones keep
+      // running, the commit rule still needs their refutations.
+      for (auto& [other_ii, other] : attempts_) {
+        if (other_ii > ii && other->running) other->token.cancel();
+      }
+    }
+    advance_locked();
+  }
+
+  // Fill the window [frontier, frontier + lookahead] with running attempts,
+  // never above the walk's top or an already-feasible II. m_ held.
+  void launch_locked() {
+    if (done_) return;
+    int cap = std::min(frontier_ + lookahead_, walk_top_);
+    if (best_feasible_ >= 0) cap = std::min(cap, best_feasible_ - 1);
+    for (int ii = frontier_; ii <= cap; ++ii) {
+      if (attempts_.count(ii) != 0) continue;
+      // The walk's schedule budget is spent by the IIs below (exact: with a
+      // budget only the frontier runs).
+      const int spent = aggregate_.schedules_tried;
+      auto owned = std::make_unique<Attempt>(base_.cancel_token());
+      Attempt* a = owned.get();
+      attempts_.emplace(ii, std::move(owned));
+      submit_locked([this, ii, a, spent] {
+        MapResult r = attempt(ii, &a->token, spent);
+        const std::lock_guard<std::mutex> lock(m_);
+        resolve_locked(ii, *a, std::move(r));
+      });
+    }
+  }
+
+  // Walk the frontier over resolved attempts, end the walk when its
+  // verdict is final, then refill the launch window. m_ held.
+  void advance_locked() {
+    while (!done_) {
+      if (frontier_ > walk_top_) {
+        // Nothing to walk: mII (or the floor) is already past the range,
+        // or the held probe sits at the start II.
+        MapResult none;
+        none.failure_reason = "time search exhausted up to max II";
+        none.causes.push_back({"time", "search space exhausted"});
+        end_walk_locked(std::move(none));
+        return;
+      }
+      const auto it = attempts_.find(frontier_);
+      if (it == attempts_.end() || it->second->running) break;
+      Attempt& a = *it->second;
+      if (a.result.success) {
+        // Every II below the frontier is resolved — this is THE minimal
+        // feasible II of the walk.
+        MapResult r = std::move(a.result);
+        merge_attempt_counters(r, aggregate_);
+        merge_attempt_counters(r, probe_);
+        commit_locked(std::move(r));
+        return;
+      }
+      if (!a.result.timed_out) {  // refuted
+        if (a.result.sound_refutation && frontier_ == refuted_up_to_ + 1) {
+          refuted_up_to_ = frontier_;
+        }
+        if (frontier_ < walk_top_) {
+          merge_attempt_counters(aggregate_, a.result);
+          ++frontier_;
+          continue;
+        }
+      }
+      // Cut short (deadline, budget, memory, fault, cancel), or refuted at
+      // the top: the walk ends with this attempt's verdict. The frontier is
+      // never cancelled by us — only IIs above a feasible one are.
+      MapResult walk = std::move(a.result);
+      merge_attempt_counters(walk, aggregate_);
+      end_walk_locked(std::move(walk));
+      return;
+    }
+    launch_locked();
+  }
+
+  // The walk stopped without a feasible frontier, `walk` being its verdict
+  // and effort. Under anytime the held mapping ships instead, degraded
+  // unless every II below it is soundly refuted. Cancellation never
+  // degrades: the caller asked this run to stop producing, not for its
+  // best effort so far. m_ held.
+  void end_walk_locked(MapResult walk) {
+    if (!opt_.anytime || best_feasible_ < 0 || walk.cancelled) {
+      merge_attempt_counters(walk, probe_);
+      commit_locked(std::move(walk));
+      return;
+    }
+    const bool from_probe = probe_.success && best_feasible_ == ceiling_;
+    MapResult held = std::move(
+        from_probe ? probe_ : attempts_.at(best_feasible_)->result);
+    merge_attempt_counters(held, walk);
+    if (!from_probe) merge_attempt_counters(held, probe_);
+    if (refuted_up_to_ < best_feasible_ - 1) {
+      held.degraded = true;
+      held.timed_out = walk.timed_out;
+      held.memory_out = walk.memory_out;
+      held.faulted = walk.faulted;
+      held.failure_reason = walk.failure_reason;
+      held.causes = walk.causes;
+      held.causes.push_back(
+          {"anytime", "walk below the held mapping was cut short"});
+    }
+    commit_locked(std::move(held));
+  }
+
+  void commit_locked(MapResult r) {
+    r.mii = mii_;
+    r.ii_refuted_up_to = refuted_up_to_;
+    r.sound_refutation =
+        !r.success && !r.timed_out && refuted_up_to_ >= ceiling_;
+    r.total_s = r.time_phase_s + r.space_phase_s;
+    for (auto& [ii, a] : attempts_) {
+      if (a->running) a->token.cancel();
+    }
+    final_ = std::move(r);
+    done_ = true;
+  }
+
+  const DecoupledMapper& mapper_;
+  const DecoupledMapperOptions& opt_;
+  const Dfg& dfg_;
+  const CgraArch& arch_;
+  const Deadline& base_;
+  CrossIiNogoodStore* const store_;
+  WorkStealingPool* const pool_;
+  ResourceGovernor* const gov_;  // request governor, rebound on each worker
+  const MiiBreakdown mii_;       // computed once per walk
+  const int ceiling_;            // inclusive II ceiling, the probe's II
+  const int lookahead_;          // IIs kept in flight beyond the frontier
+
+  std::mutex m_;
+  std::deque<std::function<void()>> inline_;  // queued attempts, no pool
+  std::map<int, std::unique_ptr<Attempt>> attempts_;
+  int walk_top_;       // highest II the walk itself visits
+  int frontier_;       // lowest unresolved II
+  // Largest II such that every II up to it is soundly refuted (heuristic
+  // give-ups never extend it).
+  int refuted_up_to_;
+  int best_feasible_ = -1;  // smallest II with a held feasible mapping
+  MapResult probe_;         // the anytime probe's result (empty without)
+  // Effort counters of the refuted IIs the frontier walked over, merged in
+  // ascending II order (cancelled speculative losers above the final II
+  // are deliberately excluded — they are wall-clock, not work the answer
+  // needed).
+  MapResult aggregate_;
+  MapResult final_;
+  bool done_ = false;
+};
+
 MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch) const {
-  const Deadline deadline = options_.timeout_s > 0
-                                ? Deadline(options_.timeout_s)
-                                : Deadline::unlimited();
-  return map(dfg, arch, deadline);
+  return map(dfg, arch, default_deadline(options_));
 }
 
 MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
                                const Deadline& deadline) const {
-  std::unique_ptr<ResourceGovernor> owned_gov =
-      make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(owned_gov.get());
-  ResourceGovernor* gov = GovernorScope::current();
-
-  // Fault containment: an injected fault (or allocation failure) escaping
-  // the walk abandons that attempt's state entirely — solvers may be
-  // mid-search — and retries from scratch after a bounded backoff.
-  // AssertionError is NOT caught: an invariant violation is a bug, not a
-  // fault to retry.
-  MapResult result;
-  int retries = 0;
-  for (;;) {
-    bool retryable = false;
-    try {
-      result = map_sequential(dfg, arch, deadline);
-      result.fault_retries += retries;
-      break;
-    } catch (const fault::FaultInjectedError& e) {
-      result = MapResult{};
-      result.faulted = true;
-      result.timed_out = true;
-      result.failure_reason = std::string("injected fault: ") + e.what();
-      result.causes.push_back({e.site(), "injected fault"});
-      retryable = true;
-    } catch (const std::bad_alloc&) {
-      result = MapResult{};
-      result.memory_out = true;
-      result.timed_out = true;
-      result.failure_reason = "allocation failure";
-      result.causes.push_back({"alloc", "allocation failure"});
-      retryable = true;
-    }
-    if (!retryable || retries >= options_.max_fault_retries ||
-        !fault::backoff_sleep(deadline, retries)) {
-      result.fault_retries = retries;
-      result.cancelled = deadline.cancel_fired();
-      break;
-    }
-    ++retries;
-  }
-  absorb_governor(result, gov);
-  finalize_outcome(result);
-  return result;
-}
-
-MapResult DecoupledMapper::map_walk(const Dfg& dfg, const CgraArch& arch,
-                                    const Deadline& deadline,
-                                    const TimeSolverOptions& time_opts) const {
-  MapResult result;
-  TimeSolverOptions time_options = time_opts;
-  if (options_.space.model == MrrgModel::kConsecutiveOnly) {
-    // Restricted interconnect: keep the time search consistent with the
-    // space model, or every schedule with a long slot span would be
-    // rejected in space.
-    time_options.constraints.consecutive_slots = true;
-  }
-  TimeSolver time_solver(dfg, arch, time_options);
-  result.mii = time_solver.mii();
-  run_mapping_loop(dfg, arch, deadline, time_solver, nullptr, result);
-  result.time_stats = time_solver.stats();
-  result.total_s = result.time_phase_s + result.space_phase_s;
-  return result;
-}
-
-MapResult DecoupledMapper::map_sequential(const Dfg& dfg, const CgraArch& arch,
-                                          const Deadline& deadline) const {
-  if (!options_.anytime) {
-    return map_walk(dfg, arch, deadline, options_.time);
-  }
-  // Anytime mode: secure the fallback first. At the automatic ceiling
-  // (max(mII, #nodes)) a fully sequential schedule always satisfies
-  // capacity and connectivity, so the probe is cheap and near-certain;
-  // a user-configured max_ii is probed instead when set.
-  const MiiBreakdown mii = compute_mii(dfg, arch);
-  const int probe_ii = options_.time.max_ii > 0
-                           ? options_.time.max_ii
-                           : std::max(mii.mii(), std::max(1, dfg.num_nodes()));
-  MapResult probe = map_at_ii(dfg, arch, probe_ii, deadline);
-  if (!probe.success) {
-    // No safety net to degrade onto — fall back to the plain walk (the
-    // probe's effort is merged so telemetry still accounts for it).
-    MapResult result = map_walk(dfg, arch, deadline, options_.time);
-    merge_attempt_counters(result, probe);
-    return result;
-  }
-  if (probe_ii <= mii.mii()) {
-    // The ceiling IS the floor: the probe is provably optimal.
-    probe.ii_refuted_up_to = mii.mii() - 1;
-    return probe;
-  }
-  TimeSolverOptions walk_time = options_.time;
-  walk_time.max_ii = probe_ii - 1;
-  MapResult walk = map_walk(dfg, arch, deadline, walk_time);
-  if (walk.success) {
-    merge_attempt_counters(walk, probe);
-    return walk;
-  }
-  if (walk.cancelled) {
-    // Cancellation never degrades: the caller asked this run to stop
-    // producing, not for its best effort so far.
-    merge_attempt_counters(walk, probe);
-    return walk;
-  }
-  // The capped walk ended without a better mapping. If it soundly refuted
-  // everything below the probe, the probe is the proven optimum; otherwise
-  // return it marked degraded with the sound interval the walk did
-  // establish.
-  MapResult result = std::move(probe);
-  merge_attempt_counters(result, walk);
-  result.ii_refuted_up_to = walk.ii_refuted_up_to;
-  if (walk.ii_refuted_up_to >= probe_ii - 1) {
-    return result;  // kFeasible, interval collapses to [probe_ii, probe_ii]
-  }
-  result.degraded = true;
-  result.timed_out = walk.timed_out;
-  result.memory_out = walk.memory_out;
-  result.faulted = walk.faulted;
-  result.failure_reason = walk.failure_reason;
-  result.causes = walk.causes;
-  result.causes.push_back(
-      {"anytime", "walk below the held mapping was cut short"});
-  return result;
+  return map_warm(dfg, arch, deadline);
 }
 
 MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
                                      int ii, const Deadline& deadline,
                                      CrossIiNogoodStore* store) const {
+  return run_mapping_loop(dfg, arch, ii, deadline, store,
+                          compute_mii(dfg, arch), /*schedules_spent=*/0);
+}
+
+MapResult DecoupledMapper::map_warm(const Dfg& dfg, const CgraArch& arch,
+                                    const Deadline& deadline,
+                                    CrossIiNogoodStore* store,
+                                    int refuted_floor) const {
+  const std::unique_ptr<ResourceGovernor> gov =
+      make_request_governor(options_.memory_budget_mb);
+  const GovernorScope scope(gov.get());
+  IiWalk walk(*this, dfg, arch, deadline, store, std::max(0, refuted_floor),
+              /*lookahead=*/0, /*pool=*/nullptr);
+  walk.start();
+  return walk.take();
+}
+
+MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
+                                           const CgraArch& arch, int ii,
+                                           const Deadline& deadline,
+                                           CrossIiNogoodStore* store,
+                                           const MiiBreakdown& mii,
+                                           int schedules_spent) const {
   MapResult result;
+  result.mii = mii;
   TimeSolverOptions time_options = options_.time;
   if (options_.space.model == MrrgModel::kConsecutiveOnly) {
+    // Restricted interconnect: keep the time search consistent with the
+    // space model, or every schedule with a long slot span would be
+    // rejected in space.
     time_options.constraints.consecutive_slots = true;
   }
   // Pin the time search to exactly this II. (An ii below mII comes back
@@ -258,126 +488,12 @@ MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
   // exceeds max_ii — correct, since no schedule exists there.)
   time_options.min_ii = ii;
   time_options.max_ii = ii;
-  TimeSolver time_solver(dfg, arch, time_options);
-  result.mii = time_solver.mii();
-  CrossIiContext ctx;
-  ctx.store = store;
-  ctx.attempt_ii = ii;
-  run_mapping_loop(dfg, arch, deadline, time_solver,
-                   store != nullptr ? &ctx : nullptr, result);
-  result.time_stats = time_solver.stats();
-  result.total_s = result.time_phase_s + result.space_phase_s;
-  finalize_outcome(result);
-  return result;
-}
+  TimeSolver time_solver(dfg, arch, time_options, mii);
+  // Certificate channel (store != nullptr): the drain position in the
+  // shared store and the local snapshot the schedule prefilter scans.
+  std::size_t cursor = 0;
+  std::vector<SlotPartitionCert> certs;
 
-MapResult DecoupledMapper::map_warm(const Dfg& dfg, const CgraArch& arch,
-                                    const Deadline& deadline,
-                                    CrossIiNogoodStore* store,
-                                    int refuted_floor) const {
-  std::unique_ptr<ResourceGovernor> owned_gov =
-      make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(owned_gov.get());
-  ResourceGovernor* gov = GovernorScope::current();
-
-  MapResult aggregate;   // counters of the non-final attempts
-  MapResult final_result;
-  int floor = std::max(0, refuted_floor);
-  int ii = floor + 1;
-  int cap = options_.time.max_ii;  // 0 = unknown until the first attempt
-  int retries = 0;
-  bool first = true;
-  for (;;) {
-    MapResult attempt;
-    bool retryable = false;
-    try {
-      DecoupledMapperOptions per = options_;
-      if (options_.max_schedules > 0) {
-        // The schedule budget spans the whole walk, like map()'s.
-        per.max_schedules =
-            options_.max_schedules - aggregate.schedules_tried;
-        if (per.max_schedules <= 0) {
-          final_result.timed_out = true;
-          final_result.failure_reason = "schedule budget exhausted";
-          final_result.causes.push_back(
-              {"budget", "schedule budget exhausted"});
-          break;
-        }
-      }
-      attempt = DecoupledMapper(per).map_at_ii(dfg, arch, ii, deadline,
-                                               store);
-    } catch (const fault::FaultInjectedError& e) {
-      attempt = MapResult{};
-      attempt.faulted = true;
-      attempt.timed_out = true;
-      attempt.failure_reason = std::string("injected fault: ") + e.what();
-      attempt.causes.push_back({e.site(), "injected fault"});
-      retryable = true;
-    } catch (const std::bad_alloc&) {
-      attempt = MapResult{};
-      attempt.memory_out = true;
-      attempt.timed_out = true;
-      attempt.failure_reason = "allocation failure";
-      attempt.causes.push_back({"alloc", "allocation failure"});
-      retryable = true;
-    }
-    if (retryable) {
-      if (retries >= options_.max_fault_retries ||
-          !fault::backoff_sleep(deadline, retries)) {
-        attempt.fault_retries = retries;
-        attempt.cancelled = deadline.cancel_fired();
-        final_result = std::move(attempt);
-        break;
-      }
-      ++retries;
-      continue;  // retry the same II
-    }
-    if (first) {
-      first = false;
-      final_result.mii = attempt.mii;
-      if (cap <= 0) {
-        cap = std::max(attempt.mii.mii(), std::max(1, dfg.num_nodes()));
-      }
-    }
-    const int mii = attempt.mii.mii();
-    if (attempt.success || attempt.timed_out) {
-      const MiiBreakdown walk_mii = final_result.mii;
-      final_result = std::move(attempt);
-      final_result.mii = walk_mii;
-      break;
-    }
-    // Refuted at this II. IIs below mII are refuted by the bound itself,
-    // so a pinned attempt below it closes the whole gap in one step.
-    const int closed_up_to = mii > ii ? mii - 1 : ii;
-    if (attempt.sound_refutation && ii == floor + 1) {
-      floor = closed_up_to;
-    }
-    const int next_ii = std::max(ii + 1, mii);
-    if (next_ii > cap) {
-      const MiiBreakdown walk_mii = final_result.mii;
-      final_result = std::move(attempt);
-      final_result.mii = walk_mii;
-      final_result.success = false;
-      final_result.timed_out = false;
-      final_result.failure_reason = "warm walk exhausted the II range";
-      break;
-    }
-    merge_attempt_counters(aggregate, attempt);
-    ii = next_ii;
-  }
-  merge_attempt_counters(final_result, aggregate);
-  final_result.fault_retries += retries;
-  final_result.ii_refuted_up_to = floor;
-  absorb_governor(final_result, gov);
-  finalize_outcome(final_result);
-  return final_result;
-}
-
-void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
-                                       const Deadline& deadline,
-                                       TimeSolver& time_solver,
-                                       CrossIiContext* ctx,
-                                       MapResult& result) const {
   Stopwatch phase;
   const std::uint64_t base_budget = options_.space.max_backtracks;
   std::uint64_t budget = base_budget;
@@ -390,28 +506,16 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
   int narrow_refutations_at_current_ii = 0;
   bool refuted_at_current_ii = false;  // any complete refutation at this II
   bool probed_at_current_ii = false;   // last-chance probe already granted
-  int last_ii = -1;
-  // Sound refutation accounting. An II counts as soundly refuted only when
-  // its time search exhausted naturally (never via skip_to_next_ii — the
-  // retry caps are heuristics) AND no space search at it was truncated:
-  // every schedule was either fully refuted in space or pruned by a sound
-  // nogood/prefilter certificate. The run value advances contiguously from
-  // the solver's starting II, so the reported interval never has holes.
-  const int start_ii = time_solver.current_ii();
-  int run_refuted_up_to = start_ii - 1;
+  // Sound refutation: the II counts as refuted only when its time search
+  // exhausted naturally (never via the retry caps — they are heuristics)
+  // AND no space search at it was truncated: every schedule was either
+  // fully refuted in space or pruned by a sound nogood/prefilter
+  // certificate.
+  bool exhausted = false;
   bool truncated_at_current_ii = false;
-  bool skipped_current_ii = false;
-  const auto note_ii_closed = [&](int closed_ii) {
-    if (closed_ii >= 0 && !skipped_current_ii && !truncated_at_current_ii &&
-        closed_ii == run_refuted_up_to + 1) {
-      run_refuted_up_to = closed_ii;
-    }
-    truncated_at_current_ii = false;
-    skipped_current_ii = false;
-  };
   for (;;) {
     if (options_.max_schedules > 0 &&
-        result.schedules_tried >= options_.max_schedules) {
+        schedules_spent + result.schedules_tried >= options_.max_schedules) {
       // Deterministic work budget: unlike a wall deadline this trips at a
       // bit-reproducible point, so degraded anytime results are replayable.
       result.timed_out = true;
@@ -419,24 +523,23 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
       result.causes.push_back({"budget", "schedule budget exhausted"});
       break;
     }
-    if (ctx != nullptr) {
-      // Pull certificates the other racing IIs learned since the last
-      // look: instantiate their cyclic-rotation clauses into this II's
-      // solver (warm start — see CrossIiNogoodStore) and extend the local
+    if (store != nullptr) {
+      // Pull certificates the other IIs learned since the last look:
+      // instantiate their cyclic-rotation clauses into this II's solver
+      // (warm start — see CrossIiNogoodStore) and extend the local
       // snapshot the prefilter below scans. Own-II certificates skip the
       // clause step: add_space_nogood already lifted their rotations here.
       std::vector<SlotPartitionCert> fresh;
-      ctx->store->drain(&ctx->cursor, &fresh);
+      store->drain(&cursor, &fresh);
       for (SlotPartitionCert& cert : fresh) {
-        if (cert.source_ii != ctx->attempt_ii) {
-          for (auto& rotation :
-               instantiate_rotations(cert, ctx->attempt_ii)) {
+        if (cert.source_ii != ii) {
+          for (auto& rotation : instantiate_rotations(cert, ii)) {
             if (time_solver.add_cross_ii_nogood(std::move(rotation))) {
               ++result.nogoods_lifted_cross_ii;
             }
           }
         }
-        ctx->certs.push_back(std::move(cert));
+        certs.push_back(std::move(cert));
       }
     }
     phase.restart();
@@ -455,31 +558,12 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
                                     : "time search exhausted up to max II";
       }
       if (!result.timed_out) {
-        // Natural exhaustion of the whole range: close the last II the
-        // solver visited, and if the run stayed contiguous to it — or the
-        // range was refuted purely in time (last_ii == -1, not one
-        // schedule yielded) — the full range up to max_ii is sound.
-        note_ii_closed(last_ii);
-        if (last_ii == -1 || run_refuted_up_to == last_ii) {
-          run_refuted_up_to = time_solver.max_ii();
-        }
+        exhausted = true;
         result.causes.push_back({"time", "search space exhausted"});
       }
       break;
     }
     ++result.schedules_tried;
-    if (schedule->ii != last_ii) {
-      // The time solver escalates II on its own when an II's schedules are
-      // exhausted; the new II's first schedule gets the full search effort.
-      // The II it left behind is closed: fold it into the sound run.
-      note_ii_closed(last_ii);
-      uninformative_at_current_ii = 0;
-      narrow_refutations_at_current_ii = 0;
-      refuted_at_current_ii = false;
-      probed_at_current_ii = false;
-      budget = base_budget;
-      last_ii = schedule->ii;
-    }
 
     std::vector<int> labels(static_cast<std::size_t>(dfg.num_nodes()));
     for (NodeId v = 0; v < dfg.num_nodes(); ++v) {
@@ -494,8 +578,8 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     // budget adaptation, retry caps).
     bool prefilter_hit = false;
     SpaceResult space;
-    if (ctx != nullptr) {
-      for (const SlotPartitionCert& cert : ctx->certs) {
+    if (store != nullptr) {
+      for (const SlotPartitionCert& cert : certs) {
         if (cert_hits_labels(cert, labels)) {
           prefilter_hit = true;
           ++result.speculative_hits;
@@ -566,10 +650,10 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
     // to spend on the next one from how this one died.
     if (!space.timed_out && !space.conflict_nodes.empty()) {
       time_solver.add_space_nogood(*schedule, space.conflict_nodes);
-      if (ctx != nullptr && !prefilter_hit) {
-        // Publish the refutation for the other racing IIs (the prefilter's
-        // own hits are already in the store — they came from it).
-        ctx->store->add(ctx->attempt_ii, space.conflict_nodes, labels);
+      if (store != nullptr && !prefilter_hit) {
+        // Publish the refutation for the other IIs (the prefilter's own
+        // hits are already in the store — they came from it).
+        store->add(ii, space.conflict_nodes, labels);
       }
     }
     const bool narrow_conflict =
@@ -668,33 +752,24 @@ void DecoupledMapper::run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
         MONOMAP_DEBUG("last-chance probe at II=" << schedule->ii);
         continue;
       }
-      uninformative_at_current_ii = 0;
-      narrow_refutations_at_current_ii = 0;
-      refuted_at_current_ii = false;
-      probed_at_current_ii = false;
-      budget = base_budget;
-      // Giving an II up by retry-cap heuristic is NOT a refutation:
-      // schedules at it may remain untried. Keep it out of the sound run.
-      skipped_current_ii = true;
-      phase.restart();
-      const bool more = time_solver.skip_to_next_ii();
-      result.time_phase_s += phase.elapsed_s();
-      if (!more) {
-        result.failure_reason = "space search failed for every II up to max";
-        break;
-      }
-      MONOMAP_DEBUG("escalating to II=" << time_solver.current_ii());
+      // Giving the II up by retry-cap heuristic is NOT a refutation:
+      // schedules at it may remain untried, so it never counts as sound.
+      result.failure_reason = "space search failed for every II up to max";
+      MONOMAP_DEBUG("giving up II=" << ii);
+      break;
     }
   }
-  // Publish the sound interval. A pinned attempt starting above mII (the
-  // speculative racers) cannot claim IIs below its own start refuted — it
-  // never looked at them — so it only reports the universally-known
-  // [1, mII) floor; its per-run verdict travels via sound_refutation.
-  const int mii = result.mii.mii();
-  result.sound_refutation = !result.success && !result.timed_out &&
-                            run_refuted_up_to >= time_solver.max_ii();
+  result.time_stats = time_solver.stats();
+  result.total_s = result.time_phase_s + result.space_phase_s;
+  // Publish the sound interval. Every attempt knows the [1, mII) bound; a
+  // sound refutation at mII itself extends it. An attempt above mII
+  // cannot claim the IIs below it — it never looked at them — so its own
+  // verdict travels via sound_refutation, which the walk chains.
+  result.sound_refutation = exhausted && !truncated_at_current_ii;
   result.ii_refuted_up_to =
-      (start_ii <= mii) ? run_refuted_up_to : mii - 1;
+      result.sound_refutation && ii == mii.mii() ? ii : mii.mii() - 1;
+  finalize_outcome(result);
+  return result;
 }
 
 std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base) {
@@ -776,382 +851,30 @@ MapResult DecoupledMapper::map_portfolio(const Dfg& dfg, const CgraArch& arch,
   return none;
 }
 
-namespace {
-
-/// One speculative cross-II race: per-II pinned attempts on a shared
-/// work-stealing pool, a frontier walking upward over refutations, and a
-/// commit rule that only accepts a feasible II once every smaller II is
-/// refuted (minimal-II optimality, agreement with sequential map()).
-///
-/// Completion-driven: no thread ever blocks waiting for an attempt. Each
-/// attempt's tail (still on the worker) resolves its state under the run
-/// mutex, advances the frontier, and launches whatever the window
-/// [frontier, frontier + lookahead] is missing. The pool's wait_idle() is
-/// therefore the natural barrier: when no tasks remain, every run has
-/// committed.
-class SpeculativeRun {
- public:
-  struct Config {
-    int start_ii = 1;   // mII — where the frontier starts
-    int max_ii = 1;     // inclusive II ceiling (mirrors TimeSolver's rule)
-    int lookahead = 2;  // IIs kept in flight beyond the frontier
-    bool lift = false;  // cross-II certificate sharing (register persistence)
-    bool anytime = false;       // degrade to the best held feasible mapping
-    int max_fault_retries = 3;  // per-attempt injected-fault retry cap
-  };
-
-  SpeculativeRun(const DecoupledMapper& mapper, const Dfg& dfg,
-                 const CgraArch& arch, const Deadline& base,
-                 const Config& config, WorkStealingPool& pool,
-                 MiiBreakdown mii, ResourceGovernor* gov)
-      : mapper_(mapper),
-        dfg_(dfg),
-        arch_(arch),
-        base_(base),
-        config_(config),
-        pool_(pool),
-        mii_(std::move(mii)),
-        gov_(gov),
-        frontier_(config.start_ii),
-        refuted_up_to_(config.start_ii - 1) {
-    store_.set_governor(gov);
-  }
-
-  /// Launch the initial attempt window. Call once, before wait_idle().
-  void start() {
-    const std::lock_guard<std::mutex> lock(m_);
-    if (frontier_ > config_.max_ii) {
-      // mII already beyond the configured cap — same verdict the
-      // sequential solver reaches without a single SAT call.
-      MapResult none;
-      none.failure_reason = "time search exhausted up to max II";
-      commit_locked(std::move(none));
-      return;
-    }
-    launch_locked();
-  }
-
-  /// The committed result. Valid after the pool drained; if a worker
-  /// failure left the run uncommitted (its attempt's tail never ran), the
-  /// accumulated effort is returned classified as a fault instead of
-  /// asserting — batch siblings must not lose their results over it.
-  MapResult take() {
-    const std::lock_guard<std::mutex> lock(m_);
-    if (!done_) {
-      MapResult aborted = std::move(aggregate_);
-      aborted.faulted = true;
-      aborted.timed_out = true;
-      aborted.failure_reason = "speculative run aborted by a worker failure";
-      aborted.causes.push_back(
-          {"speculative", "worker failed before the run committed"});
-      aborted.ii_refuted_up_to = refuted_up_to_;
-      commit_locked(std::move(aborted));
-    }
-    return std::move(final_);
-  }
-
- private:
-  struct Attempt {
-    explicit Attempt(const CancelToken* parent) : token(parent) {}
-    enum class State { kRunning, kFeasible, kRefuted, kTimedOut };
-    CancelToken token;  // parented to the caller's token, if any
-    MapResult result;
-    State state = State::kRunning;
-    bool cancelled_by_us = false;
-  };
-
-  // Fill the window [frontier, min(frontier + lookahead, max_ii)] with
-  // running attempts; never above an already-feasible II. m_ held.
-  void launch_locked() {
-    if (done_) return;
-    int cap = std::min(frontier_ + config_.lookahead, config_.max_ii);
-    if (best_feasible_ >= 0) cap = std::min(cap, best_feasible_ - 1);
-    for (int ii = frontier_; ii <= cap; ++ii) {
-      if (attempts_.count(ii) != 0) continue;
-      auto attempt = std::make_unique<Attempt>(base_.cancel_token());
-      Attempt* a = attempt.get();
-      attempts_.emplace(ii, std::move(attempt));
-      pool_.submit([this, ii, a] { run_attempt(ii, a); });
-    }
-  }
-
-  void run_attempt(int ii, Attempt* a) {
-    // Pool workers are fresh threads: bind the request's governor so the
-    // attempt's solvers charge the shared budget.
-    const GovernorScope scope(gov_);
-    MapResult r;
-    if (a->token.cancelled()) {
-      // Cancelled while still queued (a smaller II already won, or the
-      // caller pulled the plug) — don't even build the solver.
-      r.timed_out = true;
-      r.cancelled = true;
-      r.failure_reason = "cancelled before start";
-    } else {
-      // The attempt shares the run's wall budget (remaining as of launch —
-      // both deadlines tick from the same start) and carries its own
-      // cancel token so a smaller feasible II can cut it individually.
-      // Injected faults and allocation failures abandon the attempt's
-      // solvers and retry from scratch after a bounded backoff; a
-      // permanent fault resolves the attempt as unresolved-at-deadline so
-      // the frontier reports it instead of crashing the race.
-      const Deadline deadline(base_.remaining_s(), &a->token);
-      int retries = 0;
-      for (;;) {
-        bool retryable = false;
-        try {
-          r = mapper_.map_at_ii(dfg_, arch_, ii, deadline,
-                                config_.lift ? &store_ : nullptr);
-          r.fault_retries += retries;
-          break;
-        } catch (const fault::FaultInjectedError& e) {
-          r = MapResult{};
-          r.faulted = true;
-          r.timed_out = true;
-          r.failure_reason = std::string("injected fault: ") + e.what();
-          r.causes.push_back({e.site(), "injected fault"});
-          retryable = true;
-        } catch (const std::bad_alloc&) {
-          r = MapResult{};
-          r.memory_out = true;
-          r.timed_out = true;
-          r.failure_reason = "allocation failure";
-          r.causes.push_back({"alloc", "allocation failure"});
-          retryable = true;
-        }
-        if (!retryable || retries >= config_.max_fault_retries ||
-            !fault::backoff_sleep(deadline, retries)) {
-          r.fault_retries = retries;
-          r.cancelled = deadline.cancel_fired();
-          break;
-        }
-        ++retries;
-      }
-    }
-
-    const std::lock_guard<std::mutex> lock(m_);
-    a->result = std::move(r);
-    a->state = a->result.success     ? Attempt::State::kFeasible
-               : a->result.timed_out ? Attempt::State::kTimedOut
-                                     : Attempt::State::kRefuted;
-    if (a->state == Attempt::State::kFeasible &&
-        (best_feasible_ < 0 || ii < best_feasible_)) {
-      best_feasible_ = ii;
-      // Larger IIs can no longer win — cancel them; smaller ones keep
-      // running, the commit rule still needs their refutations.
-      for (auto& [other_ii, other] : attempts_) {
-        if (other_ii > ii && other->state == Attempt::State::kRunning) {
-          other->cancelled_by_us = true;
-          other->token.cancel();
-        }
-      }
-    }
-    advance_locked();
-  }
-
-  // Walk the frontier over resolved attempts, commit when its verdict is
-  // final, then refill the launch window. m_ held.
-  void advance_locked() {
-    while (!done_) {
-      const auto it = attempts_.find(frontier_);
-      if (it == attempts_.end() ||
-          it->second->state == Attempt::State::kRunning) {
-        break;
-      }
-      Attempt& a = *it->second;
-      if (a.state == Attempt::State::kFeasible) {
-        // Every II below the frontier was refuted — this is THE minimal
-        // feasible II, same answer the sequential walk reaches.
-        MapResult final_result = std::move(a.result);
-        merge_attempt_counters(final_result, aggregate_);
-        final_result.ii_refuted_up_to = refuted_up_to_;
-        commit_locked(std::move(final_result));
-        return;
-      }
-      if (a.state == Attempt::State::kTimedOut) {
-        // The frontier is never cancelled by us (only IIs above a feasible
-        // one are), so this is the shared wall budget or the caller's
-        // token. Optimality below a held feasible II is unprovable now.
-        if (config_.anytime && best_feasible_ >= 0 && !base_.cancel_fired()) {
-          // Anytime contract: surrender optimality, not the mapping. The
-          // best held feasible II ships marked degraded, with the sound
-          // interval [refuted_up_to_ + 1, best_feasible_] and the
-          // frontier's stop cause attached. (An explicit caller cancel
-          // still returns nothing — cancellation never degrades.)
-          const auto best = attempts_.find(best_feasible_);
-          MONOMAP_ASSERT(best != attempts_.end());
-          MapResult final_result = std::move(best->second->result);
-          merge_attempt_counters(final_result, aggregate_);
-          merge_attempt_counters(final_result, a.result);
-          final_result.degraded = true;
-          final_result.timed_out = a.result.timed_out;
-          final_result.memory_out = a.result.memory_out;
-          final_result.faulted = a.result.faulted;
-          final_result.ii_refuted_up_to = refuted_up_to_;
-          std::ostringstream note;
-          note << "II=" << frontier_ << " unresolved ("
-               << a.result.failure_reason << ")";
-          final_result.causes.push_back({"speculative", note.str()});
-          commit_locked(std::move(final_result));
-          return;
-        }
-        // Strict mode: report the timeout rather than a possibly
-        // non-minimal mapping.
-        MapResult final_result = std::move(a.result);
-        merge_attempt_counters(final_result, aggregate_);
-        final_result.ii_refuted_up_to = refuted_up_to_;
-        if (best_feasible_ >= 0) {
-          std::ostringstream note;
-          note << final_result.failure_reason << " (II=" << frontier_
-               << " unresolved; a feasible mapping at II=" << best_feasible_
-               << " was held back by the determinism rule)";
-          final_result.failure_reason = note.str();
-        }
-        commit_locked(std::move(final_result));
-        return;
-      }
-      // Refuted. A pinned attempt whose whole (single-II) range was
-      // soundly refuted extends the contiguous sound interval.
-      if (a.result.sound_refutation && it->first == refuted_up_to_ + 1) {
-        refuted_up_to_ = it->first;
-      }
-      // The topmost II carries the exhaustion verdict itself.
-      if (it->first >= config_.max_ii) {
-        MapResult final_result = std::move(a.result);
-        merge_attempt_counters(final_result, aggregate_);
-        final_result.ii_refuted_up_to = refuted_up_to_;
-        commit_locked(std::move(final_result));
-        return;
-      }
-      merge_attempt_counters(aggregate_, a.result);
-      ++frontier_;
-    }
-    launch_locked();
-  }
-
-  void commit_locked(MapResult final_result) {
-    final_result.mii = mii_;
-    final_result.total_s =
-        final_result.time_phase_s + final_result.space_phase_s;
-    finalize_outcome(final_result);
-    for (auto& [ii, attempt] : attempts_) {
-      if (attempt->state == Attempt::State::kRunning) {
-        attempt->cancelled_by_us = true;
-        attempt->token.cancel();
-      }
-    }
-    final_ = std::move(final_result);
-    done_ = true;
-  }
-
-  const DecoupledMapper& mapper_;
-  const Dfg& dfg_;
-  const CgraArch& arch_;
-  const Deadline& base_;
-  const Config config_;
-  WorkStealingPool& pool_;
-  const MiiBreakdown mii_;
-  ResourceGovernor* gov_;  // request governor, rebound on each worker
-  CrossIiNogoodStore store_;
-
-  std::mutex m_;
-  std::map<int, std::unique_ptr<Attempt>> attempts_;
-  int frontier_;            // lowest unresolved II
-  int best_feasible_ = -1;  // smallest II with a held feasible mapping
-  // Largest II such that [start_ii, refuted_up_to_] is contiguously,
-  // soundly refuted (pinned attempts report sound_refutation; heuristic
-  // give-ups do not extend this).
-  int refuted_up_to_;
-  // Effort counters of the refuted IIs the frontier walked over, merged in
-  // ascending II order (cancelled speculative losers above the final II
-  // are deliberately excluded — they are wall-clock, not work the answer
-  // needed).
-  MapResult aggregate_;
-  MapResult final_;
-  bool done_ = false;
-};
-
-SpeculativeRun::Config speculative_config(const DecoupledMapperOptions& options,
-                                          const Dfg& dfg, int lookahead,
-                                          bool share_nogoods,
-                                          const MiiBreakdown& mii) {
-  SpeculativeRun::Config config;
-  config.start_ii = mii.mii();
-  // Same auto ceiling as TimeSolver: at II = #nodes a fully sequential
-  // schedule always satisfies capacity and connectivity.
-  config.max_ii = options.time.max_ii > 0
-                      ? options.time.max_ii
-                      : std::max(mii.mii(), std::max(1, dfg.num_nodes()));
-  config.lookahead = std::max(lookahead, 0);
-  config.lift = share_nogoods &&
-                options.space.model == MrrgModel::kRegisterPersistence;
-  config.anytime = options.anytime;
-  config.max_fault_retries = options.max_fault_retries;
-  return config;
-}
-
-// The II attempts are CPU-bound SAT/search work: workers beyond the
-// machine's cores only timeslice against each other, turning speculation
-// from free use of spare cores into a tax on the frontier attempt. Treat
-// the requested thread count as a ceiling; on a small machine the race
-// degenerates gracefully toward the sequential walk (queued attempts run
-// frontier-first and a win cancels them before they start).
-int clamp_pool_threads(int requested) {
-  const int cores =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  if (requested <= 0) return cores;
-  return std::min(requested, cores);
-}
-
-}  // namespace
-
 MapResult DecoupledMapper::map_speculative(const Dfg& dfg,
                                            const CgraArch& arch,
                                            const SpeculativeOptions& spec) const {
-  const Deadline deadline = options_.timeout_s > 0
-                                ? Deadline(options_.timeout_s)
-                                : Deadline::unlimited();
-  return map_speculative(dfg, arch, deadline, spec);
+  return map_speculative(dfg, arch, default_deadline(options_), spec);
 }
 
 MapResult DecoupledMapper::map_speculative(const Dfg& dfg,
                                            const CgraArch& arch,
                                            const Deadline& deadline,
                                            const SpeculativeOptions& spec) const {
-  std::unique_ptr<ResourceGovernor> owned_gov =
+  const std::unique_ptr<ResourceGovernor> gov =
       make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(owned_gov.get());
-  ResourceGovernor* gov = GovernorScope::current();
-
+  const GovernorScope scope(gov.get());
+  CrossIiNogoodStore store;
+  store.set_governor(GovernorScope::current());
+  const bool share = spec.share_nogoods &&
+                     options_.space.model == MrrgModel::kRegisterPersistence;
   WorkStealingPool pool(clamp_pool_threads(spec.num_threads));
-  MiiBreakdown mii = compute_mii(dfg, arch);
-  const SpeculativeRun::Config config = speculative_config(
-      options_, dfg, spec.lookahead, spec.share_nogoods, mii);
-  SpeculativeRun run(*this, dfg, arch, deadline, config, pool,
-                     std::move(mii), gov);
-  run.start();
-  const std::exception_ptr error = pool.wait_idle_collect();
-  MapResult result = run.take();
+  IiWalk walk(*this, dfg, arch, deadline, share ? &store : nullptr,
+              /*refuted_floor=*/0, spec.lookahead, &pool);
+  walk.start();
+  drain_pool(pool);
+  MapResult result = walk.take();
   result.steals = pool.steals();
-  if (error != nullptr) {
-    // A worker died past its retry budget. Classify the known fault
-    // classes onto the result (take() already salvaged the effort
-    // counters); anything else — AssertionError above all — propagates.
-    try {
-      std::rethrow_exception(error);
-    } catch (const fault::FaultInjectedError& e) {
-      if (!result.success) {
-        result.faulted = true;
-        result.causes.push_back({e.site(), "injected fault"});
-      }
-    } catch (const std::bad_alloc&) {
-      if (!result.success) {
-        result.memory_out = true;
-        result.causes.push_back({"alloc", "allocation failure"});
-      }
-    }
-  }
-  absorb_governor(result, gov);
-  finalize_outcome(result);
   return result;
 }
 
@@ -1160,10 +883,7 @@ std::vector<MapResult> DecoupledMapper::map_batch(
     int num_threads) const {
   // One budget for the whole batch. Historically every item silently got
   // its own full options_.timeout_s, so a batch could run items * timeout.
-  const Deadline deadline = options_.timeout_s > 0
-                                ? Deadline(options_.timeout_s)
-                                : Deadline::unlimited();
-  return map_batch(dfgs, arch, deadline, num_threads);
+  return map_batch(dfgs, arch, default_deadline(options_), num_threads);
 }
 
 std::vector<MapResult> DecoupledMapper::map_batch(
@@ -1176,57 +896,36 @@ std::vector<MapResult> DecoupledMapper::map_batch(
     // Sequential reference path: every case runs the plain map() in order.
     for (std::size_t i = 0; i < dfgs.size(); ++i) {
       results[i] = map(*dfgs[i], arch, deadline);
-      if (stats != nullptr) {
-        ++stats->outcome_counts[static_cast<std::size_t>(
-            results[i].outcome)];
-      }
     }
-    return results;
-  }
-  // Pooled path: every case becomes a speculative run with lookahead 1 —
-  // its per-II attempts are the pool's tasks. A hard case decomposes into
-  // subtasks the other workers steal, instead of pinning one thread for
-  // the whole batch (the pre-pool behaviour: static case-per-thread via
-  // parallel_for_indices, where one pathological case idled its siblings).
-  // No certificate sharing: batch results stay bit-exactly what the
-  // per-case sequential map() would return (see SpeculativeOptions::
-  // share_nogoods for why warm starts can move the committed II).
-  std::unique_ptr<ResourceGovernor> owned_gov =
-      make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(owned_gov.get());
-  ResourceGovernor* gov = GovernorScope::current();
-
-  WorkStealingPool pool(clamp_pool_threads(num_threads));
-  std::vector<std::unique_ptr<SpeculativeRun>> runs;
-  runs.reserve(dfgs.size());
-  for (const Dfg* dfg : dfgs) {
-    MiiBreakdown mii = compute_mii(*dfg, arch);
-    const SpeculativeRun::Config config = speculative_config(
-        options_, *dfg, /*lookahead=*/1, /*share_nogoods=*/false, mii);
-    runs.push_back(std::make_unique<SpeculativeRun>(
-        *this, *dfg, arch, deadline, config, pool, std::move(mii), gov));
-  }
-  for (auto& run : runs) run->start();
-  const std::exception_ptr error = pool.wait_idle_collect();
-  if (error != nullptr) {
-    // One poisoned case must not sink the batch: the known fault classes
-    // are already folded into the affected case's take() fallback;
-    // anything else (AssertionError first) propagates.
-    try {
-      std::rethrow_exception(error);
-    } catch (const fault::FaultInjectedError&) {
-    } catch (const std::bad_alloc&) {
+  } else {
+    // Pooled path: every case becomes a walk with lookahead 1 — its per-II
+    // attempts are the pool's tasks. A hard case decomposes into subtasks
+    // the other workers steal, instead of pinning one thread for the whole
+    // batch. No certificate sharing: batch results stay bit-exactly what
+    // the per-case sequential map() would return (see SpeculativeOptions::
+    // share_nogoods for why warm starts can move the committed II).
+    const std::unique_ptr<ResourceGovernor> gov =
+        make_request_governor(options_.memory_budget_mb);
+    const GovernorScope scope(gov.get());
+    WorkStealingPool pool(clamp_pool_threads(num_threads));
+    std::deque<IiWalk> walks;  // IiWalk is pinned in place
+    for (const Dfg* dfg : dfgs) {
+      walks.emplace_back(*this, *dfg, arch, deadline, nullptr, 0, 1, &pool);
     }
-  }
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    results[i] = runs[i]->take();
+    for (IiWalk& walk : walks) walk.start();
+    drain_pool(pool);
+    for (std::size_t i = 0; i < walks.size(); ++i) {
+      results[i] = walks[i].take();
+    }
     if (stats != nullptr) {
-      ++stats->outcome_counts[static_cast<std::size_t>(results[i].outcome)];
+      stats->steals = pool.steals();
+      stats->fault_requeues = pool.fault_requeues();
     }
   }
   if (stats != nullptr) {
-    stats->steals = pool.steals();
-    stats->fault_requeues = pool.fault_requeues();
+    for (const MapResult& r : results) {
+      ++stats->outcome_counts[static_cast<std::size_t>(r.outcome)];
+    }
   }
   return results;
 }

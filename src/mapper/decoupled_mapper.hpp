@@ -83,7 +83,7 @@ struct DecoupledMapperOptions {
   /// engine proved schedules dead there within budget) escalate without
   /// the probe. Bounded: one probe per II.
   bool last_chance_probe = true;
-  /// Anytime mode (map() only): before the bottom-up walk, secure a
+  /// Anytime mode (every II walk): before the bottom-up walk, secure a
   /// fallback mapping at the II ceiling (max(mII, #nodes) — where a fully
   /// sequential schedule always places) and cap the walk below it. If the
   /// walk is cut short by the deadline, the schedule budget, or the memory
@@ -98,9 +98,9 @@ struct DecoupledMapperOptions {
   /// clock this is bit-reproducible across machines and runs — the
   /// degraded-mode determinism test pins that. 0 = unlimited.
   int max_schedules = 0;
-  /// Retries after an injected fault or allocation failure before the
-  /// request is classified kFault/kMemory (bounded exponential backoff
-  /// between attempts; see support/fault.hpp).
+  /// Retries of one II attempt after an injected fault or allocation
+  /// failure before the walk ends classified kFault/kMemory (bounded
+  /// exponential backoff between tries; see support/fault.hpp).
   int max_fault_retries = 3;
   /// Per-request memory budget in MiB, accounted by the SAT learnt DB, the
   /// bitset searcher's trail reservations, and the cross-II nogood store
@@ -210,7 +210,7 @@ struct MapResult {
   /// This run soundly refuted its ENTIRE II range (natural time-phase
   /// exhaustion, zero truncated space searches, no heuristic skips). For a
   /// pinned map_at_ii run this means exactly "this II is soundly refuted"
-  /// — the speculative walk's interval tracking keys on it.
+  /// — the II walk's interval tracking keys on it.
   bool sound_refutation = false;
   /// Memory-governor telemetry (zero when ungoverned).
   std::size_t mem_peak_bytes = 0;
@@ -278,16 +278,14 @@ class DecoupledMapper {
                       CrossIiNogoodStore* store = nullptr) const;
 
   /// Warm-started sequential walk for the cross-request knowledge layer:
-  /// II rises one at a time from max(refuted_floor + 1, mII) via pinned
-  /// map_at_ii attempts that share `store` — seeded certificates prune
-  /// schedules through the usual rotation-clause + prefilter channel, and
-  /// refutations this walk finds are published back into `store` for the
-  /// caller to harvest. `refuted_floor` must be sound (every II <= floor
-  /// refuted by natural exhaustion — the KnowledgeStore only records such
-  /// floors), and the walk keeps the same contiguous sound-refutation
-  /// accounting as map(): the result's ii_refuted_up_to never exceeds a
-  /// sound refutation. With a null store and floor 0 this is the
-  /// per-II replay of sequential map() (same per-II policy, same answer).
+  /// map()'s walk, starting at max(refuted_floor + 1, mII), whose pinned
+  /// attempts share `store` — seeded certificates prune schedules through
+  /// the usual rotation-clause + prefilter channel, and refutations this
+  /// walk finds are published back into `store` for the caller to
+  /// harvest. `refuted_floor` must be sound (every II <= floor refuted by
+  /// natural exhaustion — the KnowledgeStore only records such floors);
+  /// the result's ii_refuted_up_to never exceeds a sound refutation. With
+  /// a null store and floor 0 this is map() exactly.
   MapResult map_warm(const Dfg& dfg, const CgraArch& arch,
                      const Deadline& deadline,
                      CrossIiNogoodStore* store = nullptr,
@@ -343,26 +341,19 @@ class DecoupledMapper {
                                    BatchStats* stats = nullptr) const;
 
  private:
-  struct CrossIiContext;  // speculative-attempt state threaded into the loop
+  class IiWalk;  // the one II-walk driver behind every public walk
 
-  /// The per-schedule space/time loop shared by map() and map_at_ii():
-  /// pull schedules, run (or prefilter) the space search, feed conflicts
-  /// back, adapt budgets, escalate II when the policy says so. `ctx` is
-  /// null on sequential runs.
-  void run_mapping_loop(const Dfg& dfg, const CgraArch& arch,
-                        const Deadline& deadline, TimeSolver& time_solver,
-                        CrossIiContext* ctx, MapResult& result) const;
-
-  /// One bottom-up walk under the given time options (the historical map()
-  /// body, parameterised so the anytime path can cap max_ii).
-  MapResult map_walk(const Dfg& dfg, const CgraArch& arch,
-                     const Deadline& deadline,
-                     const TimeSolverOptions& time_options) const;
-
-  /// map() minus governor binding and fault retries: the plain walk, or
-  /// the anytime probe + capped walk + degradation merge.
-  MapResult map_sequential(const Dfg& dfg, const CgraArch& arch,
-                           const Deadline& deadline) const;
+  /// One attempt pinned to exactly `ii`: the per-schedule space/time loop
+  /// (pull schedules, run or prefilter the space search, feed conflicts
+  /// back, adapt budgets, give the II up when the retry caps say so).
+  /// `schedules_spent` of the walk's options_.max_schedules budget are
+  /// already used by the IIs below; `store` is null outside
+  /// certificate-sharing walks.
+  MapResult run_mapping_loop(const Dfg& dfg, const CgraArch& arch, int ii,
+                             const Deadline& deadline,
+                             CrossIiNogoodStore* store,
+                             const MiiBreakdown& mii,
+                             int schedules_spent) const;
 
   DecoupledMapperOptions options_;
 };

@@ -159,6 +159,7 @@ class KnowledgeStore {
   /// A completed feasible mapping in canonical node space.
   struct MemoEntry {
     int ii = 0;
+    MiiBreakdown mii;  // isomorphism-invariant, so valid for every hit
     int ii_refuted_up_to = 0;
     int schedules_tried = 0;
     int num_nodes = 0;

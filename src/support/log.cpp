@@ -1,9 +1,11 @@
 #include "support/log.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 
 namespace monomap {
 namespace {
@@ -17,7 +19,8 @@ LogLevel initial_level() {
   return LogLevel::kWarn;
 }
 
-LogLevel g_level = initial_level();
+std::atomic<LogLevel> g_level{initial_level()};
+std::mutex g_emit_mutex;  // one whole line at a time
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -32,9 +35,9 @@ const char* level_tag(LogLevel level) {
 
 }  // namespace
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(); }
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) { g_level.store(level); }
 
 LogLevel parse_log_level(const std::string& text) {
   std::string lower(text.size(), '\0');
@@ -51,6 +54,7 @@ LogLevel parse_log_level(const std::string& text) {
 namespace detail {
 
 void log_emit(LogLevel level, const std::string& message) {
+  const std::lock_guard<std::mutex> lock(g_emit_mutex);
   std::cerr << "[monomap " << level_tag(level) << "] " << message << '\n';
 }
 

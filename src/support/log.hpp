@@ -1,8 +1,9 @@
 // Minimal levelled logger writing to stderr.
 //
-// Not thread-safe by design: the mapper is single-threaded (like the paper's
-// toolchain) and benches measure wall-clock of the solving path, so logging
-// must stay out of the way when disabled.
+// Safe under the worker pools: the level is atomic and whole lines are
+// emitted under a lock, so concurrent lines never interleave. Benches
+// measure wall-clock of the solving path, so a disabled level costs one
+// atomic load and nothing else.
 #ifndef MONOMAP_SUPPORT_LOG_HPP
 #define MONOMAP_SUPPORT_LOG_HPP
 

@@ -17,10 +17,14 @@ const char* to_string(TimeEngine engine) {
 
 TimeSolver::TimeSolver(const Dfg& dfg, const CgraArch& arch,
                        TimeSolverOptions options)
+    : TimeSolver(dfg, arch, options, compute_mii(dfg, arch)) {}
+
+TimeSolver::TimeSolver(const Dfg& dfg, const CgraArch& arch,
+                       TimeSolverOptions options, const MiiBreakdown& mii)
     : dfg_(dfg),
       arch_(arch),
       options_(options),
-      mii_(compute_mii(dfg, arch)),
+      mii_(mii),
       max_ii_(options.max_ii > 0
                   ? options.max_ii
                   : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),

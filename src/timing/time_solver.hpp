@@ -85,6 +85,10 @@ class TimeSolver {
  public:
   TimeSolver(const Dfg& dfg, const CgraArch& arch,
              TimeSolverOptions options = TimeSolverOptions{});
+  /// Same, with `dfg`'s mII on `arch` already known (the mapper's II walk
+  /// computes it once and builds one pinned solver per II).
+  TimeSolver(const Dfg& dfg, const CgraArch& arch, TimeSolverOptions options,
+             const MiiBreakdown& mii);
   ~TimeSolver();
   TimeSolver(const TimeSolver&) = delete;
   TimeSolver& operator=(const TimeSolver&) = delete;

@@ -272,6 +272,29 @@ TEST(Anytime, DegradedModeIsDeterministic) {
                   .empty());
 }
 
+TEST(Anytime, ColdWarmAndSpeculativeWalksAgree) {
+  // One anytime request, three entry points: they share one II walk, so a
+  // deterministic budget cut must end the same way through each of them.
+  DecoupledMapperOptions opt = base_options();
+  opt.anytime = true;
+  opt.max_schedules = 6;
+  const DecoupledMapper mapper(opt);
+  const Benchmark& b = benchmark_by_name("cfd");
+  const CgraArch arch = CgraArch::square(4);
+  const MapResult cold = mapper.map(b.dfg, arch);
+  const MapResult warm = mapper.map_warm(b.dfg, arch, Deadline(120.0));
+  SpeculativeOptions spec;
+  spec.lookahead = 0;
+  spec.num_threads = 1;
+  const MapResult speculative = mapper.map_speculative(b.dfg, arch, spec);
+  for (const MapResult* r : {&warm, &speculative}) {
+    EXPECT_EQ(r->outcome, cold.outcome) << to_string(r->outcome);
+    EXPECT_EQ(r->ii, cold.ii);
+    EXPECT_EQ(r->ii_lo, cold.ii_lo);
+    EXPECT_EQ(r->schedules_tried, cold.schedules_tried);
+  }
+}
+
 TEST(Anytime, RefutationBelowMiiIsSoundAndRefutedOutcome) {
   const Benchmark& b = benchmark_by_name("fft");
   const CgraArch arch = CgraArch::square(4);

@@ -106,6 +106,9 @@ TEST(ServiceTest, ExactRepeatIsMemoHitWithSameAnswer) {
   EXPECT_FALSE(cold.bool_or("memo_hit", true));
   EXPECT_TRUE(hit.bool_or("memo_hit", false));
   EXPECT_EQ(cold.number_or("ii", -1.0), hit.number_or("ii", -2.0));
+  // The hit answers from the stored result, not from defaults.
+  EXPECT_EQ(cold.number_or("mii", -1.0), hit.number_or("mii", -2.0));
+  EXPECT_EQ(cold.number_or("ii_lo", -1.0), hit.number_or("ii_lo", -2.0));
   EXPECT_EQ(hit.number_or("schedules_tried", -1.0), 0.0);
   EXPECT_EQ(service.stats().store.memo_hits, 1u);
 }
@@ -198,6 +201,7 @@ TEST(KnowledgeStoreTest, DifferentOptionsOrSaltNeverShareMemoSlots) {
 TEST(ServiceTest, WarmWalkMatchesSequentialAnswerWithEmptyStore) {
   // map_warm seeded with nothing must agree with map() on ii/success —
   // the warm path is the same walk, only the starting knowledge differs.
+  // Without a store it is map()'s walk exactly, so the work matches too.
   const Deadline deadline(30.0);
   for (const char* name : {"fft", "gsm", "nw", "susan"}) {
     const Dfg dfg = benchmark_by_name(name).dfg;
@@ -208,6 +212,13 @@ TEST(ServiceTest, WarmWalkMatchesSequentialAnswerWithEmptyStore) {
     const MapResult warm = mapper.map_warm(dfg, arch, deadline, &scratch, 0);
     EXPECT_EQ(cold.success, warm.success) << name;
     EXPECT_EQ(cold.ii, warm.ii) << name;
+    const MapResult bare = mapper.map_warm(dfg, arch, deadline, nullptr, 0);
+    EXPECT_EQ(cold.success, bare.success) << name;
+    EXPECT_EQ(cold.ii, bare.ii) << name;
+    EXPECT_EQ(cold.schedules_tried, bare.schedules_tried) << name;
+    EXPECT_EQ(cold.time_stats.sat_calls, bare.time_stats.sat_calls) << name;
+    EXPECT_EQ(cold.space_truncated, bare.space_truncated) << name;
+    EXPECT_EQ(cold.ii_lo, bare.ii_lo) << name;
     if (warm.success) {
       EXPECT_TRUE(validate_mapping(dfg, arch, warm.mapping,
                                    MrrgModel::kRegisterPersistence)

@@ -85,8 +85,8 @@ TEST(SpeculativeMapper, MatchesSequentialOnRandomDfgs) {
   }
 }
 
-/// Lookahead 0 degenerates to a pinned-II replay of the sequential walk
-/// and must still agree.
+/// Lookahead 0 degenerates to the sequential walk run on a worker thread:
+/// same answer and the same work.
 TEST(SpeculativeMapper, ZeroLookaheadStillMatches) {
   const DecoupledMapper mapper(fast_options());
   const Benchmark& b = benchmark_by_name("hotspot3D");
@@ -97,6 +97,10 @@ TEST(SpeculativeMapper, ZeroLookaheadStillMatches) {
   const MapResult r = mapper.map_speculative(b.dfg, arch, spec);
   ASSERT_EQ(seq.success, r.success) << r.failure_reason;
   EXPECT_EQ(seq.ii, r.ii);
+  EXPECT_EQ(seq.schedules_tried, r.schedules_tried);
+  EXPECT_EQ(seq.time_stats.sat_calls, r.time_stats.sat_calls);
+  EXPECT_EQ(seq.space_truncated, r.space_truncated);
+  EXPECT_EQ(seq.ii_lo, r.ii_lo);
 }
 
 /// map_at_ii is the exact per-II policy of map(): pinned below the
