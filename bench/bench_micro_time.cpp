@@ -126,7 +126,7 @@ void run_json_mode(int grid, int repeats) {
       json.field("engine", to_string(engine));
       json.field("success", last.success);
       json.field("outcome", to_string(last.outcome));
-      json.field("degraded", last.degraded);
+      json.field("degraded", last.outcome == MapOutcome::kDegraded);
       json.field("fault_retries", last.fault_retries);
       json.field("ii", last.success ? last.ii : -1);
       json.field("seconds", med);
@@ -191,7 +191,7 @@ void run_json_mode(int grid, int repeats) {
         json.field("engine", to_string(engine));
         json.field("success", last.success);
         json.field("outcome", to_string(last.outcome));
-        json.field("degraded", last.degraded);
+        json.field("degraded", last.outcome == MapOutcome::kDegraded);
         json.field("fault_retries", last.fault_retries);
         json.field("ii", last.success ? last.ii : -1);
         json.field("seconds", median(seconds));
@@ -224,7 +224,7 @@ void run_json_mode(int grid, int repeats) {
         json.field("engine", warm ? "speculative-warm" : "speculative");
         json.field("success", last.success);
         json.field("outcome", to_string(last.outcome));
-        json.field("degraded", last.degraded);
+        json.field("degraded", last.outcome == MapOutcome::kDegraded);
         json.field("fault_retries", last.fault_retries);
         json.field("ii", last.success ? last.ii : -1);
         json.field("seconds", median(seconds));

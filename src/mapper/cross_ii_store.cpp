@@ -37,24 +37,13 @@ std::vector<std::vector<std::pair<NodeId, int>>> instantiate_rotations(
   return out;
 }
 
-bool CrossIiNogoodStore::add(int source_ii, const std::vector<NodeId>& nodes,
-                             const std::vector<int>& labels) {
-  if (nodes.empty()) return false;
-  // Group the conflict nodes by their slot, canonically: std::map orders
-  // blocks by slot, then re-sorting by first node makes the partition key
-  // independent of which slots happened to carry it.
-  std::map<int, std::vector<NodeId>> by_slot;
-  for (const NodeId v : nodes) {
-    by_slot[labels[static_cast<std::size_t>(v)]].push_back(v);
-  }
-  SlotPartitionCert cert;
-  cert.source_ii = source_ii;
-  cert.blocks.reserve(by_slot.size());
-  cert.block_slots.reserve(by_slot.size());
-  for (auto& [slot, block] : by_slot) {
+SlotPartitionCert relabel(SlotPartitionCert cert,
+                          const std::vector<NodeId>& perm) {
+  for (std::vector<NodeId>& block : cert.blocks) {
+    if (!perm.empty()) {
+      for (NodeId& v : block) v = perm[static_cast<std::size_t>(v)];
+    }
     std::sort(block.begin(), block.end());
-    cert.blocks.push_back(std::move(block));
-    cert.block_slots.push_back(slot);
   }
   std::vector<std::size_t> order(cert.blocks.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -69,23 +58,24 @@ bool CrossIiNogoodStore::add(int source_ii, const std::vector<NodeId>& nodes,
     canon.blocks.push_back(std::move(cert.blocks[i]));
     canon.block_slots.push_back(cert.block_slots[i]);
   }
+  return canon;
+}
 
-  const std::lock_guard<std::mutex> lock(m_);
-  if (!seen_.insert(canon.blocks).second) return false;
-  if (gov_ != nullptr) {
-    // Charge the certificate; under pressure evict oldest-first — stale
-    // source-II knowledge goes before fresh — and only drop the new
-    // certificate when the store is empty and the budget still refuses.
-    const std::size_t bytes = cert_bytes(canon);
-    while (!gov_->try_charge(bytes)) {
-      if (certs_.empty()) return false;
-      gov_->note_shed();
-      evict_front_locked();
-    }
-    gov_charged_ += bytes;
+bool CrossIiNogoodStore::add(int source_ii, const std::vector<NodeId>& nodes,
+                             const std::vector<int>& labels) {
+  // Group the conflict nodes by their slot; relabel() then makes the
+  // partition key independent of which slots happened to carry it.
+  std::map<int, std::vector<NodeId>> by_slot;
+  for (const NodeId v : nodes) {
+    by_slot[labels[static_cast<std::size_t>(v)]].push_back(v);
   }
-  certs_.push_back(std::move(canon));
-  return true;
+  SlotPartitionCert cert;
+  cert.source_ii = source_ii;
+  for (auto& [slot, block] : by_slot) {
+    cert.blocks.push_back(std::move(block));
+    cert.block_slots.push_back(slot);
+  }
+  return add_cert(relabel(std::move(cert), {}));
 }
 
 bool CrossIiNogoodStore::add_cert(SlotPartitionCert cert) {
@@ -93,8 +83,11 @@ bool CrossIiNogoodStore::add_cert(SlotPartitionCert cert) {
     return false;
   }
   const std::lock_guard<std::mutex> lock(m_);
-  if (!seen_.insert(cert.blocks).second) return false;
+  if (seen_.count(cert.blocks) != 0) return false;
   if (gov_ != nullptr) {
+    // Charge the certificate; under pressure evict oldest-first — stale
+    // knowledge goes before fresh — and only drop the new certificate when
+    // the store is empty and the budget still refuses.
     const std::size_t bytes = cert_bytes(cert);
     while (!gov_->try_charge(bytes)) {
       if (certs_.empty()) return false;
@@ -103,6 +96,7 @@ bool CrossIiNogoodStore::add_cert(SlotPartitionCert cert) {
     }
     gov_charged_ += bytes;
   }
+  seen_.insert(cert.blocks);
   certs_.push_back(std::move(cert));
   return true;
 }
@@ -130,6 +124,7 @@ void CrossIiNogoodStore::evict_front_locked() {
   const std::size_t refund = std::min(bytes, gov_charged_);
   gov_->uncharge(refund);
   gov_charged_ -= refund;
+  seen_.erase(certs_.front().blocks);
   certs_.pop_front();
   ++base_;
   ++evicted_;

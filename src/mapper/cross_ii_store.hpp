@@ -65,6 +65,13 @@ struct SlotPartitionCert {
 bool cert_hits_labels(const SlotPartitionCert& cert,
                       const std::vector<int>& labels);
 
+/// `cert` with every node v renamed perm[v] (kept when `perm` is empty),
+/// in canonical form: nodes ascending within a block, blocks ascending by
+/// first node, block_slots following their blocks. The one translation
+/// between node spaces (a request's and the canonical fingerprint's).
+SlotPartitionCert relabel(SlotPartitionCert cert,
+                          const std::vector<NodeId>& perm);
+
 /// Instantiate the certificate at `target_ii` as concrete (node, slot)
 /// placement sets: one per cyclic rotation k, mapping block b to slot
 /// (block_slots[b] + k) mod target_ii. Each returned set is a sound label
@@ -72,9 +79,11 @@ bool cert_hits_labels(const SlotPartitionCert& cert,
 std::vector<std::vector<std::pair<NodeId, int>>> instantiate_rotations(
     const SlotPartitionCert& cert, int target_ii);
 
-/// Thread-safe accumulator of slot-partition certificates, shared by every
-/// II attempt of one speculative map() call. Append-only; readers poll new
-/// certificates with a cursor so repeated drains are incremental.
+/// Thread-safe accumulator of slot-partition certificates: shared by the
+/// II attempts of one walk, and the per-key certificate store of the
+/// cross-request KnowledgeStore. Appends plus oldest-first eviction under
+/// memory pressure; readers poll new certificates with a cursor so
+/// repeated drains are incremental.
 class CrossIiNogoodStore {
  public:
   CrossIiNogoodStore() = default;
@@ -88,9 +97,9 @@ class CrossIiNogoodStore {
   bool add(int source_ii, const std::vector<NodeId>& nodes,
            const std::vector<int>& labels);
 
-  /// Insert an already-canonical certificate (blocks sorted internally and
-  /// ordered by first node) — the KnowledgeStore seeding path, which
-  /// replays certificates learned by previous requests. Pass source_ii = 0
+  /// Insert an already-canonical certificate (see relabel()) — the
+  /// KnowledgeStore's seed and publish paths, which replay certificates
+  /// learned by previous requests. When seeding a walk pass source_ii = 0
   /// ("foreign") so every attempt instantiates its rotation clauses: the
   /// skip-own-II shortcut in the mapping loop assumes same-II certificates
   /// were already lifted by the session that learned them, which is false
@@ -123,10 +132,10 @@ class CrossIiNogoodStore {
   // shifts a reader's cursor onto a certificate it already consumed.
   std::deque<SlotPartitionCert> certs_;
   std::size_t base_ = 0;
-  // Canonical partitions already stored (block_slots excluded: two
+  // Canonical partitions currently stored (block_slots excluded: two
   // refutations inducing the same partition are the same knowledge).
-  // Evicted partitions stay in this set: re-adding an evicted certificate
-  // would just be re-charged and re-evicted under the same pressure.
+  // Eviction erases a partition, so the set never outgrows certs_ and an
+  // evicted certificate can be stored again.
   std::set<std::vector<std::vector<NodeId>>> seen_;
   ResourceGovernor* gov_ = nullptr;
   std::size_t gov_charged_ = 0;

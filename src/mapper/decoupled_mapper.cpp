@@ -4,7 +4,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,26 +21,11 @@ namespace monomap {
 
 namespace {
 
-/// Derive the structured verdict from the result flags (precedence:
-/// feasible > degraded > cancelled > memory > fault > deadline > refuted —
-/// cancellation never degrades) and publish the sound II interval.
-/// Idempotent; entry points re-run it after adding governor telemetry.
-void finalize_outcome(MapResult& r) {
-  if (r.success) {
-    r.outcome = r.degraded ? MapOutcome::kDegraded : MapOutcome::kFeasible;
-  } else if (r.cancelled) {
-    r.outcome = MapOutcome::kCancelled;
-  } else if (r.memory_out) {
-    r.outcome = MapOutcome::kMemory;
-  } else if (r.faulted) {
-    r.outcome = MapOutcome::kFault;
-  } else if (r.timed_out) {
-    r.outcome = MapOutcome::kDeadline;
-  } else {
-    r.outcome = MapOutcome::kRefuted;
-  }
-  r.ii_lo = std::max(1, r.ii_refuted_up_to + 1);
-  r.ii_hi = r.success ? r.ii : 0;
+/// The verdict of an attempt cut short with evidence `why`: a fired cancel
+/// token outranks it (the caller abandoned the request; `why` stays in the
+/// causes).
+MapOutcome cut_short(const Deadline& deadline, MapOutcome why) {
+  return deadline.cancel_fired() ? MapOutcome::kCancelled : why;
 }
 
 /// Fold one resolved attempt's effort counters into an aggregate. Result
@@ -85,8 +69,8 @@ Deadline default_deadline(const DecoupledMapperOptions& options) {
 }
 
 /// Create this request's governor when a budget is configured and no outer
-/// scope already bound one (nested calls — portfolio racers on the
-/// caller's thread — inherit the outer request's budget).
+/// scope already bound one (a nested call inherits the outer request's
+/// budget).
 std::unique_ptr<ResourceGovernor> make_request_governor(
     std::size_t memory_budget_mb) {
   if (GovernorScope::current() != nullptr || memory_budget_mb == 0) {
@@ -203,8 +187,7 @@ class DecoupledMapper::IiWalk {
     const std::lock_guard<std::mutex> lock(m_);
     if (!done_) {
       MapResult aborted = std::move(aggregate_);
-      aborted.faulted = true;
-      aborted.timed_out = true;
+      aborted.outcome = MapOutcome::kFault;
       aborted.failure_reason = "II walk aborted by a worker failure";
       aborted.causes.push_back(
           {"walk", "worker failed before the walk committed"});
@@ -217,11 +200,12 @@ class DecoupledMapper::IiWalk {
       final_.mem_peak_bytes = std::max(final_.mem_peak_bytes, gov_->peak());
       final_.mem_sheds += gov_->sheds();
       if (gov_->tripped()) {
-        if (!final_.success && !final_.cancelled) final_.memory_out = true;
+        if (!final_.success && final_.outcome != MapOutcome::kCancelled) {
+          final_.outcome = MapOutcome::kMemory;
+        }
         final_.causes.push_back({"governor", gov_->trip_reason()});
       }
     }
-    finalize_outcome(final_);
     return std::move(final_);
   }
 
@@ -265,20 +249,18 @@ class DecoupledMapper::IiWalk {
         r.fault_retries += retries;
         return r;
       } catch (const fault::FaultInjectedError& e) {
-        r.faulted = true;
-        r.timed_out = true;
+        r.outcome = MapOutcome::kFault;
         r.failure_reason = std::string("injected fault: ") + e.what();
         r.causes.push_back({e.site(), "injected fault"});
       } catch (const std::bad_alloc&) {
-        r.memory_out = true;
-        r.timed_out = true;
+        r.outcome = MapOutcome::kMemory;
         r.failure_reason = "allocation failure";
         r.causes.push_back({"alloc", "allocation failure"});
       }
       if (retries >= opt_.max_fault_retries ||
           !fault::backoff_sleep(deadline, retries)) {
         r.fault_retries = retries;
-        r.cancelled = deadline.cancel_fired();
+        r.outcome = cut_short(deadline, r.outcome);
         return r;
       }
     }
@@ -345,7 +327,7 @@ class DecoupledMapper::IiWalk {
         commit_locked(std::move(r));
         return;
       }
-      if (!a.result.timed_out) {  // refuted
+      if (a.result.outcome == MapOutcome::kRefuted) {
         if (a.result.sound_refutation && frontier_ == refuted_up_to_ + 1) {
           refuted_up_to_ = frontier_;
         }
@@ -372,7 +354,8 @@ class DecoupledMapper::IiWalk {
   // degrades: the caller asked this run to stop producing, not for its
   // best effort so far. m_ held.
   void end_walk_locked(MapResult walk) {
-    if (!opt_.anytime || best_feasible_ < 0 || walk.cancelled) {
+    if (!opt_.anytime || best_feasible_ < 0 ||
+        walk.outcome == MapOutcome::kCancelled) {
       merge_attempt_counters(walk, probe_);
       commit_locked(std::move(walk));
       return;
@@ -383,10 +366,7 @@ class DecoupledMapper::IiWalk {
     merge_attempt_counters(held, walk);
     if (!from_probe) merge_attempt_counters(held, probe_);
     if (refuted_up_to_ < best_feasible_ - 1) {
-      held.degraded = true;
-      held.timed_out = walk.timed_out;
-      held.memory_out = walk.memory_out;
-      held.faulted = walk.faulted;
+      held.outcome = MapOutcome::kDegraded;
       held.failure_reason = walk.failure_reason;
       held.causes = walk.causes;
       held.causes.push_back(
@@ -396,10 +376,14 @@ class DecoupledMapper::IiWalk {
   }
 
   void commit_locked(MapResult r) {
+    MONOMAP_ASSERT(r.success == (r.outcome == MapOutcome::kFeasible ||
+                                 r.outcome == MapOutcome::kDegraded));
     r.mii = mii_;
     r.ii_refuted_up_to = refuted_up_to_;
+    r.ii_lo = std::max(1, refuted_up_to_ + 1);
+    r.ii_hi = r.success ? r.ii : 0;
     r.sound_refutation =
-        !r.success && !r.timed_out && refuted_up_to_ >= ceiling_;
+        r.outcome == MapOutcome::kRefuted && refuted_up_to_ >= ceiling_;
     r.total_s = r.time_phase_s + r.space_phase_s;
     for (auto& [ii, a] : attempts_) {
       if (a->running) a->token.cancel();
@@ -451,8 +435,12 @@ MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch,
 MapResult DecoupledMapper::map_at_ii(const Dfg& dfg, const CgraArch& arch,
                                      int ii, const Deadline& deadline,
                                      CrossIiNogoodStore* store) const {
-  return run_mapping_loop(dfg, arch, ii, deadline, store,
-                          compute_mii(dfg, arch), /*schedules_spent=*/0);
+  MapResult result = run_mapping_loop(dfg, arch, ii, deadline, store,
+                                      compute_mii(dfg, arch),
+                                      /*schedules_spent=*/0);
+  result.ii_lo = std::max(1, result.ii_refuted_up_to + 1);
+  result.ii_hi = result.success ? result.ii : 0;
+  return result;
 }
 
 MapResult DecoupledMapper::map_warm(const Dfg& dfg, const CgraArch& arch,
@@ -518,7 +506,7 @@ MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
         schedules_spent + result.schedules_tried >= options_.max_schedules) {
       // Deterministic work budget: unlike a wall deadline this trips at a
       // bit-reproducible point, so degraded anytime results are replayable.
-      result.timed_out = true;
+      result.outcome = MapOutcome::kDeadline;
       result.failure_reason = "schedule budget exhausted";
       result.causes.push_back({"budget", "schedule budget exhausted"});
       break;
@@ -546,20 +534,17 @@ MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
     const std::optional<TimeSolution> schedule = time_solver.next(deadline);
     result.time_phase_s += phase.elapsed_s();
     if (!schedule.has_value()) {
-      result.timed_out = time_solver.timed_out();
-      result.cancelled = result.timed_out && deadline.cancel_fired();
-      if (result.timed_out && time_solver.memory_out()) {
-        result.memory_out = true;
+      if (!time_solver.timed_out()) {
+        exhausted = true;
+        result.failure_reason = "time search exhausted up to max II";
+        result.causes.push_back({"time", "search space exhausted"});
+      } else if (time_solver.memory_out()) {
+        result.outcome = cut_short(deadline, MapOutcome::kMemory);
         result.failure_reason = "time search exceeded the memory budget";
         result.causes.push_back({"time", "memory budget exceeded"});
       } else {
-        result.failure_reason = result.timed_out
-                                    ? "time search hit the deadline"
-                                    : "time search exhausted up to max II";
-      }
-      if (!result.timed_out) {
-        exhausted = true;
-        result.causes.push_back({"time", "search space exhausted"});
+        result.outcome = cut_short(deadline, MapOutcome::kDeadline);
+        result.failure_reason = "time search hit the deadline";
       }
       break;
     }
@@ -616,6 +601,7 @@ MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
 
     if (space.found) {
       result.success = true;
+      result.outcome = MapOutcome::kFeasible;
       result.ii = schedule->ii;
       result.mapping = Mapping(schedule->ii, schedule->time, space.pe);
       // The decoupling invariant: every returned mapping is valid.
@@ -627,16 +613,13 @@ MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
       break;
     }
     if (space.memory_out) {
-      result.timed_out = true;
-      result.memory_out = true;
-      result.cancelled = deadline.cancel_fired();
+      result.outcome = cut_short(deadline, MapOutcome::kMemory);
       result.failure_reason = "space search exceeded the memory budget";
       result.causes.push_back({"space", "memory budget exceeded"});
       break;
     }
     if (space.deadline_expired) {
-      result.timed_out = true;
-      result.cancelled = deadline.cancel_fired();
+      result.outcome = cut_short(deadline, MapOutcome::kDeadline);
       result.failure_reason = "space search hit the deadline";
       break;
     }
@@ -768,87 +751,7 @@ MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
   result.sound_refutation = exhausted && !truncated_at_current_ii;
   result.ii_refuted_up_to =
       result.sound_refutation && ii == mii.mii() ? ii : mii.mii() - 1;
-  finalize_outcome(result);
   return result;
-}
-
-std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base) {
-  // Diverse variable orders first (they explore genuinely different trees),
-  // then a no-symmetry variant: on rare instances the canonical-octant
-  // restriction steers the first placement away from the only easy region.
-  std::vector<SpaceOptions> configs;
-  for (const SpaceOrder order :
-       {SpaceOrder::kDynamicMrv, SpaceOrder::kConnectivity,
-        SpaceOrder::kDegree}) {
-    SpaceOptions c = base;
-    c.order = order;
-    configs.push_back(c);
-  }
-  SpaceOptions no_sym = base;
-  no_sym.order = SpaceOrder::kDynamicMrv;
-  no_sym.symmetry_breaking = false;
-  configs.push_back(no_sym);
-  return configs;
-}
-
-MapResult DecoupledMapper::map_portfolio(const Dfg& dfg, const CgraArch& arch,
-                                         const PortfolioOptions& portfolio) const {
-  const std::vector<SpaceOptions> configs =
-      portfolio.configs.empty() ? default_portfolio_configs(options_.space)
-                                : portfolio.configs;
-  const int num_configs = static_cast<int>(configs.size());
-  MONOMAP_ASSERT(num_configs > 0);
-
-  CancelToken winner_found;
-  // One shared budget for the whole race: copies of `base` share the same
-  // start instant and all observe the first-win token.
-  const Deadline base(options_.timeout_s > 0
-                          ? options_.timeout_s
-                          : std::numeric_limits<double>::infinity(),
-                      &winner_found);
-
-  std::vector<MapResult> results(static_cast<std::size_t>(num_configs));
-  auto run_config = [&](int index) {
-    // A win (or expiry) skips the configurations still waiting for a
-    // thread; in sequential mode this is the early exit.
-    if (base.expired()) return;
-    DecoupledMapperOptions opt = options_;
-    opt.space = configs[static_cast<std::size_t>(index)];
-    MapResult r = DecoupledMapper(opt).map(dfg, arch, base);
-    r.portfolio_config = index;
-    // Only a win ends the race. A failure is not definitive even with
-    // timed_out == false: the mapper truncates per-schedule space searches
-    // with backtrack budgets (without flagging the overall result), so a
-    // configuration with a different variable order may still succeed.
-    if (r.success) {
-      winner_found.cancel();
-    }
-    results[static_cast<std::size_t>(index)] = std::move(r);
-  };
-  parallel_for_indices(num_configs, portfolio.num_threads, run_config);
-
-  // First-win: lowest-index success (in the threaded race every loser was
-  // cancelled moments after the winner finished, so any success is "the"
-  // winner up to scheduling noise; picking the lowest index keeps the
-  // reduction deterministic given the same set of successes).
-  for (MapResult& r : results) {
-    if (r.success) return std::move(r);
-  }
-  // All failed: prefer a definitive exhaustion over a cancelled/timed-out
-  // racer, else fall back to the first configuration's result.
-  for (MapResult& r : results) {
-    if (r.portfolio_config >= 0 && !r.timed_out &&
-        !r.failure_reason.empty()) {
-      return std::move(r);
-    }
-  }
-  for (MapResult& r : results) {
-    if (r.portfolio_config >= 0) return std::move(r);
-  }
-  MapResult none;
-  none.failure_reason = "portfolio: no configuration ran before the deadline";
-  none.timed_out = true;
-  return none;
 }
 
 MapResult DecoupledMapper::map_speculative(const Dfg& dfg,

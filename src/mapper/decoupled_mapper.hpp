@@ -93,7 +93,7 @@ struct DecoupledMapperOptions {
   /// is promoted to kFeasible. Default off: the probe costs one extra
   /// mapping attempt, and non-anytime callers pin exact-walk behaviour.
   bool anytime = false;
-  /// Deterministic work budget: give up (timed_out, or degraded under
+  /// Deterministic work budget: give up (kDeadline, or kDegraded under
   /// anytime) after this many schedules have been tried. Unlike the wall
   /// clock this is bit-reproducible across machines and runs — the
   /// degraded-mode determinism test pins that. 0 = unlimited.
@@ -108,23 +108,6 @@ struct DecoupledMapperOptions {
   /// ungoverned build.
   std::size_t memory_budget_mb = 0;
 };
-
-/// Parallel-portfolio configuration: race several space-search
-/// configurations for the same DFG and take the first valid mapping.
-struct PortfolioOptions {
-  /// Space configurations to race. Empty = a built-in diverse set
-  /// (dynamic-MRV / connectivity / degree orders, symmetry on/off); see
-  /// default_portfolio_configs().
-  std::vector<SpaceOptions> configs;
-  /// Worker threads: 0 = one per configuration (capped at hardware
-  /// concurrency), 1 = run configurations sequentially in order — fully
-  /// deterministic, used by tests.
-  int num_threads = 0;
-};
-
-/// The built-in portfolio: diverse variable orders and symmetry settings
-/// seeded from `base` (engine/model/budget are inherited from it).
-std::vector<SpaceOptions> default_portfolio_configs(const SpaceOptions& base);
 
 /// Speculative cross-II race configuration (map_speculative).
 struct SpeculativeOptions {
@@ -168,31 +151,20 @@ struct BatchStats {
 };
 
 struct MapResult {
+  /// `mapping` holds a valid mapping: exactly when `outcome` is kFeasible
+  /// or kDegraded (the II walk asserts this when it commits).
   bool success = false;
-  bool timed_out = false;
-  /// The deadline's CancelToken fired (subset of timed_out): the run was
-  /// cut short by a caller — a portfolio/speculative first-win or an
-  /// explicit batch cancel — not by the wall clock. Batch telemetry uses
-  /// this to tell a cancelled case from one that genuinely ran out of
-  /// budget.
-  bool cancelled = false;
-  /// Structured verdict derived from the flags below (precedence:
-  /// feasible > degraded > cancelled > memory > fault > deadline >
-  /// refuted). The flags stay authoritative for callers that predate the
-  /// taxonomy; `outcome` is what the CLI exit code and batch telemetry
-  /// key on.
+  /// How the request ended, set where the evidence appears: a placed
+  /// schedule, an exhausted or heuristically abandoned II (kRefuted), an
+  /// expired deadline or schedule budget, a governor trip or failed
+  /// allocation, a fault that outlived its retries, a fired cancel token.
+  /// A cancel outranks the other cut-short verdicts, and under anytime a
+  /// held mapping turns a cut-short walk into kDegraded.
   MapOutcome outcome = MapOutcome::kRefuted;
-  /// Machine-readable cause chain (site, detail), outermost first.
+  /// Machine-readable cause chain (site, detail), outermost first. It also
+  /// keeps the evidence the verdict outranks — a fault under a cancel
+  /// leaves its {site, "injected fault"} link here.
   std::vector<OutcomeCause> causes;
-  /// Anytime mode: `mapping` is the held fallback, not a proven optimum —
-  /// the walk below ii was cut short. The true minimal II lies in
-  /// [ii_lo, ii_hi] (see below). Implies success.
-  bool degraded = false;
-  /// The request's memory governor tripped (subset of timed_out on
-  /// non-degraded results).
-  bool memory_out = false;
-  /// An injected fault (or allocation failure) survived every retry.
-  bool faulted = false;
   /// Fault-retry attempts consumed (see
   /// DecoupledMapperOptions::max_fault_retries).
   int fault_retries = 0;
@@ -246,9 +218,6 @@ struct MapResult {
   std::string failure_reason;
   TimeSolverStats time_stats;
   SpaceResult last_space;
-  /// Which portfolio configuration produced this result (-1 when the result
-  /// did not come from map_portfolio).
-  int portfolio_config = -1;
 };
 
 class DecoupledMapper {
@@ -267,8 +236,8 @@ class DecoupledMapper {
 
   /// Run the space/time loop pinned to exactly `ii` — no escalation. The
   /// per-II policy (nogood feedback, adaptive budgets, last-chance probe)
-  /// is the exact code map() runs at one II, so "!success && !timed_out"
-  /// here means precisely "sequential map() would have escalated past ii".
+  /// is the exact code map() runs at one II, so outcome == kRefuted here
+  /// means precisely "sequential map() would have escalated past ii".
   /// When `store` is non-null (speculative runs, register-persistence
   /// model only) the attempt drains the store into its time solver as
   /// warm-start clauses + a schedule prefilter, and contributes its own
@@ -309,14 +278,6 @@ class DecoupledMapper {
   MapResult map_speculative(const Dfg& dfg, const CgraArch& arch,
                             const Deadline& deadline,
                             const SpeculativeOptions& spec = {}) const;
-
-  /// Race several space configurations for the same DFG across threads;
-  /// the first valid mapping wins and cancels the rest (atomic first-win
-  /// token observed through each racer's Deadline). With
-  /// portfolio.num_threads == 1 the configurations run sequentially in
-  /// order, which makes the result deterministic.
-  MapResult map_portfolio(const Dfg& dfg, const CgraArch& arch,
-                          const PortfolioOptions& portfolio = {}) const;
 
   /// Map a whole batch of DFGs across `num_threads` worker threads
   /// (0 = hardware concurrency). Results are positionally aligned with

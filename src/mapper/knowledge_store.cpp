@@ -107,6 +107,17 @@ KnowledgeStore::Key KnowledgeStore::memo_key(const DfgFingerprint& fp,
   return key;
 }
 
+KnowledgeStore::Key KnowledgeStore::knowledge_key(
+    const DfgFingerprint& fp, std::uint64_t arch_fp,
+    const DecoupledMapperOptions& options) {
+  Key key;
+  key.arch_fp = arch_fp;
+  key.dfg_hi = fp.iso_hi;
+  key.dfg_lo = fp.iso_lo;
+  key.scope_fp = soundness_fingerprint(options);
+  return key;
+}
+
 bool KnowledgeStore::knowledge_applicable(
     const DfgFingerprint& fp, const DecoupledMapperOptions& options) {
   // Certificate transfer needs a canonical permutation, and the partition
@@ -180,8 +191,7 @@ void KnowledgeStore::store(const Dfg& dfg, const DfgFingerprint& fp,
                            std::uint64_t arch_fp,
                            const DecoupledMapperOptions& options,
                            const MapResult& result, std::uint64_t salt) {
-  if (!result.success || result.degraded ||
-      result.outcome != MapOutcome::kFeasible || result.mapping.empty() ||
+  if (result.outcome != MapOutcome::kFeasible || result.mapping.empty() ||
       result.mapping.num_nodes() != dfg.num_nodes()) {
     return;
   }
@@ -253,11 +263,7 @@ int KnowledgeStore::refuted_floor(const DfgFingerprint& fp,
   if (!knowledge_applicable(fp, options)) {
     return 0;
   }
-  Key key;
-  key.arch_fp = arch_fp;
-  key.dfg_hi = fp.iso_hi;
-  key.dfg_lo = fp.iso_lo;
-  key.scope_fp = soundness_fingerprint(options);
+  const Key key = knowledge_key(fp, arch_fp, options);
   Stripe& stripe = stripe_for(key);
   const std::lock_guard<std::mutex> lock(stripe.m);
   auto it = stripe.knowledge.find(key);
@@ -278,11 +284,7 @@ std::size_t KnowledgeStore::seed(const DfgFingerprint& fp,
   if (!knowledge_applicable(fp, options) || out == nullptr) {
     return 0;
   }
-  Key key;
-  key.arch_fp = arch_fp;
-  key.dfg_hi = fp.iso_hi;
-  key.dfg_lo = fp.iso_lo;
-  key.scope_fp = soundness_fingerprint(options);
+  const Key key = knowledge_key(fp, arch_fp, options);
   Stripe& stripe = stripe_for(key);
   std::vector<SlotPartitionCert> canonical;
   {
@@ -291,7 +293,8 @@ std::size_t KnowledgeStore::seed(const DfgFingerprint& fp,
     if (it == stripe.knowledge.end()) {
       return 0;
     }
-    canonical = it->second.certs;
+    std::size_t cursor = 0;
+    it->second.certs.drain(&cursor, &canonical);
   }
   // canonical index -> this request's node id.
   std::vector<NodeId> inverse(fp.canon.size());
@@ -300,35 +303,9 @@ std::size_t KnowledgeStore::seed(const DfgFingerprint& fp,
         static_cast<NodeId>(v);
   }
   std::size_t seeded = 0;
-  for (const SlotPartitionCert& cert : canonical) {
-    SlotPartitionCert local;
-    local.source_ii = 0;  // foreign: every attempt must lift its rotations
-    local.blocks.reserve(cert.blocks.size());
-    local.block_slots = cert.block_slots;
-    for (const auto& block : cert.blocks) {
-      std::vector<NodeId> mapped;
-      mapped.reserve(block.size());
-      for (const NodeId ci : block) {
-        mapped.push_back(inverse[static_cast<std::size_t>(ci)]);
-      }
-      std::sort(mapped.begin(), mapped.end());
-      local.blocks.push_back(std::move(mapped));
-    }
-    // Restore canonical block order (by first node) after translation.
-    std::vector<std::size_t> order(local.blocks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return local.blocks[a].front() < local.blocks[b].front();
-    });
-    SlotPartitionCert sorted;
-    sorted.source_ii = 0;
-    sorted.blocks.reserve(order.size());
-    sorted.block_slots.reserve(order.size());
-    for (const std::size_t i : order) {
-      sorted.blocks.push_back(std::move(local.blocks[i]));
-      sorted.block_slots.push_back(local.block_slots[i]);
-    }
-    if (out->add_cert(std::move(sorted))) {
+  for (SlotPartitionCert& cert : canonical) {
+    cert.source_ii = 0;  // foreign: every attempt must lift its rotations
+    if (out->add_cert(relabel(std::move(cert), inverse))) {
       ++seeded;
     }
   }
@@ -344,64 +321,25 @@ std::size_t KnowledgeStore::publish(const DfgFingerprint& fp,
   if (!knowledge_applicable(fp, options)) {
     return 0;
   }
-  Key key;
-  key.arch_fp = arch_fp;
-  key.dfg_hi = fp.iso_hi;
-  key.dfg_lo = fp.iso_lo;
-  key.scope_fp = soundness_fingerprint(options);
+  const Key key = knowledge_key(fp, arch_fp, options);
   std::vector<SlotPartitionCert> fresh;
   std::size_t cursor = 0;
   scratch.drain(&cursor, &fresh);
   Stripe& stripe = stripe_for(key);
   const std::lock_guard<std::mutex> lock(stripe.m);
-  KnowledgeEntry& entry = stripe.knowledge[key];
+  KnowledgeEntry& entry =
+      stripe.knowledge.try_emplace(key, &governor_).first->second;
   // Floors only advance, and only with the sound value the caller derived
   // from MapResult::ii_refuted_up_to.
   entry.refuted_floor = std::max(entry.refuted_floor, refuted_up_to);
+  // The entry's store dedups canonical partitions and, when the budget
+  // refuses a certificate, evicts this key's oldest ones to make room
+  // (losing a nogood costs effort, never soundness).
   std::size_t stored = 0;
   for (SlotPartitionCert& cert : fresh) {
-    SlotPartitionCert canon;
-    canon.source_ii = cert.source_ii;
-    canon.blocks.reserve(cert.blocks.size());
-    canon.block_slots = cert.block_slots;
-    for (const auto& block : cert.blocks) {
-      std::vector<NodeId> mapped;
-      mapped.reserve(block.size());
-      for (const NodeId v : block) {
-        mapped.push_back(fp.canon[static_cast<std::size_t>(v)]);
-      }
-      std::sort(mapped.begin(), mapped.end());
-      canon.blocks.push_back(std::move(mapped));
+    if (entry.certs.add_cert(relabel(std::move(cert), fp.canon))) {
+      ++stored;
     }
-    std::vector<std::size_t> order(canon.blocks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return canon.blocks[a].front() < canon.blocks[b].front();
-    });
-    SlotPartitionCert sorted;
-    sorted.source_ii = canon.source_ii;
-    sorted.blocks.reserve(order.size());
-    sorted.block_slots.reserve(order.size());
-    for (const std::size_t i : order) {
-      sorted.blocks.push_back(std::move(canon.blocks[i]));
-      sorted.block_slots.push_back(canon.block_slots[i]);
-    }
-    if (!entry.seen.insert(sorted.blocks).second) {
-      continue;
-    }
-    std::size_t bytes = sizeof(SlotPartitionCert) + 64;
-    for (const auto& block : sorted.blocks) {
-      bytes += sizeof(std::vector<NodeId>) + block.size() * sizeof(NodeId);
-    }
-    if (!governor_.try_charge(bytes)) {
-      // Knowledge overflow: drop the new certificate (memo LRU pressure is
-      // handled on the memo path; losing a nogood costs effort, not
-      // soundness).
-      entry.seen.erase(sorted.blocks);
-      break;
-    }
-    entry.certs.push_back(std::move(sorted));
-    ++stored;
   }
   certs_published_.fetch_add(stored, std::memory_order_relaxed);
   return stored;

@@ -30,8 +30,8 @@
 // Lock-striped: keys hash to one of kStripes independent shards, each with
 // its own mutex, maps and LRU list, so concurrent requests on different
 // DFGs never contend. Memory is accounted against an internal
-// ResourceGovernor; denied charges evict memo LRU entries first, then the
-// oldest certificates of the inserting key.
+// ResourceGovernor: a denied memo charge evicts memo LRU entries, a denied
+// certificate charge evicts the oldest certificates of the inserting key.
 #ifndef MONOMAP_MAPPER_KNOWLEDGE_STORE_HPP
 #define MONOMAP_MAPPER_KNOWLEDGE_STORE_HPP
 
@@ -41,7 +41,6 @@
 #include <list>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -171,9 +170,11 @@ class KnowledgeStore {
   };
 
   struct KnowledgeEntry {
+    explicit KnowledgeEntry(ResourceGovernor* governor) {
+      certs.set_governor(governor);
+    }
     int refuted_floor = 0;
-    std::vector<SlotPartitionCert> certs;  // canonical node space
-    std::set<std::vector<std::vector<NodeId>>> seen;
+    CrossIiNogoodStore certs;  // canonical node space, charged to governor_
   };
 
   struct Stripe {
@@ -192,6 +193,10 @@ class KnowledgeStore {
                                    const DecoupledMapperOptions& options);
   static Key memo_key(const DfgFingerprint& fp, std::uint64_t arch_fp,
                       std::uint64_t options_fp);
+  /// Knowledge entries are keyed on the canonical hash (applicable only
+  /// when fp.canonical) and the soundness fingerprint.
+  static Key knowledge_key(const DfgFingerprint& fp, std::uint64_t arch_fp,
+                           const DecoupledMapperOptions& options);
   void evict_lru_locked(Stripe& stripe, std::size_t* counter);
 
   Options options_;

@@ -76,7 +76,7 @@ MapResult map_with_routing(const Dfg& dfg, const CgraArch& arch,
   // Round 0: the DFG may already be mappable without routing.
   RoutedDfg current{dfg, dfg.num_nodes(), {}};
   MapResult result = DecoupledMapper(capped(current.dfg)).map(current.dfg, arch);
-  if (result.success || result.timed_out) {
+  if (result.outcome != MapOutcome::kRefuted) {
     *routed = std::move(current);
     return result;
   }

@@ -239,7 +239,9 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
                               result.nogoods_lifted_cross_ii) +
                     "," +
                     int_field("speculative_hits", result.speculative_hits) +
-                    ",\"degraded\":" + (result.degraded ? "true" : "false") +
+                    ",\"degraded\":" +
+                    (result.outcome == MapOutcome::kDegraded ? "true"
+                                                             : "false") +
                     ",\"memo_hit\":" + (memo_hit ? "true" : "false") +
                     ",\"warm\":" + (use_warm ? "true" : "false") + "," +
                     int_field("certs_seeded",

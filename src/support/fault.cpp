@@ -30,9 +30,9 @@ std::uint64_t hash_site(const std::string& site) {
 }
 
 /// An armed plan plus its per-rule arrival counters. Readers access it via
-/// an atomic pointer with no lock; replaced plans are intentionally leaked
-/// (installs are rare — tests and process start — and a freed plan under a
-/// concurrent reader would be a use-after-free).
+/// an atomic pointer with no lock, so a replaced plan is never freed (a
+/// freed plan under a concurrent reader would be a use-after-free); installs
+/// are rare — tests and process start — so keeping every plan is cheap.
 struct ActivePlan {
   std::vector<FaultRule> rules;
   std::vector<std::uint64_t> phases;  // seeded firing phase per rule
@@ -55,7 +55,20 @@ std::atomic<ActivePlan*> g_plan{nullptr};
 std::atomic<bool> g_env_resolved{false};
 std::mutex g_install_m;
 
-void install_locked(ActivePlan* next) {
+/// Owner of every plan ever armed, guarded by g_install_m. The list itself
+/// is never destroyed, so retired plans stay reachable (not leaked) for
+/// the life of the process.
+std::vector<std::unique_ptr<ActivePlan>>& armed_plans() {
+  static auto* const plans = new std::vector<std::unique_ptr<ActivePlan>>();
+  return *plans;
+}
+
+void install_locked(const FaultPlan* plan) {
+  ActivePlan* next = nullptr;
+  if (plan != nullptr && !plan->rules.empty()) {
+    armed_plans().push_back(std::make_unique<ActivePlan>(*plan));
+    next = armed_plans().back().get();
+  }
   g_plan.store(next, std::memory_order_release);
   g_env_resolved.store(true, std::memory_order_release);
 }
@@ -66,13 +79,9 @@ void resolve_env() {
   const std::lock_guard<std::mutex> lock(g_install_m);
   if (g_env_resolved.load(std::memory_order_acquire)) return;
   const char* env = std::getenv("MONOMAP_FAULTS");
-  ActivePlan* next = nullptr;
-  if (env != nullptr && *env != '\0') {
-    if (const auto plan = parse_fault_spec(env)) {
-      next = new ActivePlan(*plan);
-    }
-  }
-  install_locked(next);
+  std::optional<FaultPlan> plan;
+  if (env != nullptr && *env != '\0') plan = parse_fault_spec(env);
+  install_locked(plan.has_value() ? &*plan : nullptr);
 }
 
 ActivePlan* current_plan() {
@@ -148,7 +157,7 @@ std::optional<FaultPlan> parse_fault_spec(const std::string& spec,
 
 void install_faults(const FaultPlan& plan) {
   const std::lock_guard<std::mutex> lock(g_install_m);
-  install_locked(plan.rules.empty() ? nullptr : new ActivePlan(plan));
+  install_locked(&plan);
 }
 
 void clear_faults() {

@@ -2,13 +2,11 @@
 // vocabulary).
 //
 // Every mapper entry point classifies how the request ended into one
-// MapOutcome, replacing ad-hoc inspection of scattered bools
-// (success/timed_out/cancelled/...) in scripted callers. The bools remain
-// as the low-level evidence; the outcome is derived from them in one place
-// (finalize_outcome in decoupled_mapper.cpp) so the precedence rules —
-// e.g. a cancellation is never reported as a degradation — are stated once.
-// The cause chain carries the machine-readable "why": one entry per
-// subsystem that contributed to the verdict, in the order the evidence
+// MapOutcome, set where the evidence appears (the II walk in
+// decoupled_mapper.cpp; the rules are in docs/robustness.md) — there are
+// no separate status flags to reconcile. The cause chain carries the
+// machine-readable "why": one entry per subsystem that contributed
+// evidence, including evidence the verdict outranks, in the order it
 // appeared.
 #ifndef MONOMAP_SUPPORT_OUTCOME_HPP
 #define MONOMAP_SUPPORT_OUTCOME_HPP

@@ -135,7 +135,9 @@ class GovernorScope {
 
  private:
   ResourceGovernor* previous_;
-  static thread_local ResourceGovernor* current_;
+  // constinit: a constant-initialised TLS variable needs no init wrapper,
+  // whose null check UBSan would misreport as a store to a null pointer.
+  static constinit inline thread_local ResourceGovernor* current_ = nullptr;
 };
 
 }  // namespace monomap

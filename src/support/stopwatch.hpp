@@ -27,10 +27,10 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// Cooperative cancellation flag shared between solver threads. The
-/// portfolio mapper hands one token to every racing configuration; the
-/// first winner cancels the rest, which observe it through their Deadline
-/// at the next periodic expiry check. A token may be chained to a parent:
+/// Cooperative cancellation flag shared between solver threads, observed
+/// through a Deadline at its next periodic expiry check (a caller cuts a
+/// request or a whole batch short with it). A token may be chained to a
+/// parent:
 /// the speculative mapper gives every II attempt its own token parented to
 /// the caller's, so one attempt can be cancelled individually (a smaller II
 /// won) while a caller-level cancel still reaches every attempt.

@@ -108,7 +108,7 @@ TEST(DecoupledMapper, ImpossibleBudgetReportsTimeout) {
   opt.timeout_s = 1e-6;  // expire immediately
   const MapResult r = DecoupledMapper(opt).map(b.dfg, CgraArch::square(5));
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.outcome, MapOutcome::kDeadline);
 }
 
 TEST(DecoupledMapper, SingleNodeDfgOnSinglePe) {
@@ -188,9 +188,8 @@ TEST(DecoupledMapper, MapBatchHonoursSharedDeadline) {
   ASSERT_EQ(results.size(), dfgs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].success) << i;
-    EXPECT_TRUE(results[i].timed_out) << i;
     // The wall clock ran out; nobody fired a cancel token.
-    EXPECT_FALSE(results[i].cancelled) << i;
+    EXPECT_EQ(results[i].outcome, MapOutcome::kDeadline) << i;
   }
 }
 
@@ -207,9 +206,8 @@ TEST(DecoupledMapper, MapBatchObservesCancelToken) {
       DecoupledMapper(fast_options()).map_batch(dfgs, arch, deadline, 1);
   for (const MapResult& r : results) {
     EXPECT_FALSE(r.success);
-    EXPECT_TRUE(r.timed_out);
     // Cut short by the token, not the wall clock: reported distinctly.
-    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.outcome, MapOutcome::kCancelled);
   }
 }
 
@@ -228,8 +226,7 @@ TEST(DecoupledMapper, MapBatchPooledPathReportsCancelDistinctly) {
   ASSERT_EQ(results.size(), dfgs.size());
   for (const MapResult& r : results) {
     EXPECT_FALSE(r.success);
-    EXPECT_TRUE(r.timed_out);
-    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.outcome, MapOutcome::kCancelled);
   }
 }
 

@@ -10,6 +10,7 @@
 //    II interval on every rerun;
 //  * all the robustness knobs default off, so the governed/fault-aware
 //    build behaves bit-identically to the seed until a knob is turned.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -154,8 +155,6 @@ TEST(Robustness, ZeroDurationDeadlineIsCleanDeadlineOutcome) {
   const DecoupledMapper mapper(base_options());
   const MapResult r = mapper.map(b.dfg, arch, Deadline(0.0));
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.timed_out);
-  EXPECT_FALSE(r.cancelled);
   EXPECT_EQ(r.outcome, MapOutcome::kDeadline);
   EXPECT_GE(r.ii_lo, 1);
   EXPECT_EQ(r.ii_hi, 0);
@@ -199,7 +198,14 @@ TEST(Robustness, ParentChainCancelInterruptsFaultBackoff) {
           .count();
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kCancelled);
-  EXPECT_TRUE(r.faulted);  // the evidence survives classification
+  // The evidence survives classification: the fault the cancel outranks
+  // stays in the cause chain.
+  EXPECT_TRUE(std::any_of(r.causes.begin(), r.causes.end(),
+                          [](const OutcomeCause& c) {
+                            return c.site == "sat.solve" &&
+                                   c.detail == "injected fault";
+                          }))
+      << format_causes(r.causes);
   EXPECT_LT(elapsed_s, 10.0);
 }
 
@@ -230,7 +236,6 @@ TEST(Anytime, ScheduleBudgetWithoutAnytimeIsDeadlineOutcome) {
   const MapResult r = DecoupledMapper(opt).map(b.dfg, arch);
   if (r.success) GTEST_SKIP() << "cfd mapped on the first schedule";
   EXPECT_EQ(r.outcome, MapOutcome::kDeadline);
-  EXPECT_TRUE(r.timed_out);
   ASSERT_FALSE(r.causes.empty());
   EXPECT_EQ(r.causes.front().site, "budget");
 }
@@ -249,7 +254,6 @@ TEST(Anytime, DegradedModeIsDeterministic) {
   const MapResult r2 = mapper.map(b.dfg, arch);
   ASSERT_TRUE(r1.success) << r1.failure_reason;
   ASSERT_EQ(r1.outcome, MapOutcome::kDegraded);
-  EXPECT_TRUE(r1.degraded);
   // Sound interval: the held mapping bounds from above, the refuted prefix
   // from below, and the true minimum sits in between.
   EXPECT_EQ(r1.ii_hi, r1.ii);
@@ -372,7 +376,6 @@ TEST(Governor, StarvedRequestEndsAsMemoryOutcome) {
   const MapResult r = DecoupledMapper(base_options()).map(b.dfg, arch);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kMemory);
-  EXPECT_TRUE(r.memory_out);
   EXPECT_TRUE(gov.tripped());
   ASSERT_FALSE(r.causes.empty());
 }
@@ -483,7 +486,6 @@ TEST(FaultSweep, AllocFaultIsMemoryOutcome) {
   const MapResult r = DecoupledMapper(base_options()).map(b.dfg, arch);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kMemory);
-  EXPECT_TRUE(r.memory_out);
 }
 
 TEST(FaultSweep, StallFaultOnlySlowsTheRequest) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,19 +114,24 @@ TEST(ServiceTest, ExactRepeatIsMemoHitWithSameAnswer) {
   EXPECT_EQ(service.stats().store.memo_hits, 1u);
 }
 
-TEST(ServiceTest, IsomorphicRepeatIsMemoHitWithValidMapping) {
-  // Same structural graph under two different node labelings: the second
-  // request must hit the memo AND return a mapping valid for ITS labeling.
-  const Dfg original = dfg_from_text(dfg_to_text(benchmark_by_name("fft").dfg));
+/// `dfg` with node v renamed n - 1 - v: an isomorphic relabelling.
+Dfg reversed_copy(const Dfg& dfg) {
   std::vector<Edge> edges;
-  const int n = original.num_nodes();
-  for (EdgeId e = 0; e < original.num_edges(); ++e) {
-    const Edge& edge = original.graph().edge(e);
+  const int n = dfg.num_nodes();
+  for (EdgeId e = 0; e < dfg.num_edges(); ++e) {
+    const Edge& edge = dfg.graph().edge(e);
     edges.push_back(
         Edge{static_cast<NodeId>(n - 1 - edge.src),
              static_cast<NodeId>(n - 1 - edge.dst), edge.attr});
   }
-  const Dfg relabeled = Dfg::from_edges("fft_rev", n, edges);
+  return Dfg::from_edges(dfg.name() + "_rev", n, edges);
+}
+
+TEST(ServiceTest, IsomorphicRepeatIsMemoHitWithValidMapping) {
+  // Same structural graph under two different node labelings: the second
+  // request must hit the memo AND return a mapping valid for ITS labeling.
+  const Dfg original = dfg_from_text(dfg_to_text(benchmark_by_name("fft").dfg));
+  const Dfg relabeled = reversed_copy(original);
 
   MappingService service;
   auto dfg_request = [](const Dfg& dfg) {
@@ -189,14 +195,133 @@ TEST(KnowledgeStoreTest, DifferentOptionsOrSaltNeverShareMemoSlots) {
                    .has_value());
   // Soundness gate: only completed feasible results are ever stored.
   MapResult degraded = result;
-  degraded.degraded = true;
   degraded.outcome = MapOutcome::kDegraded;
   KnowledgeStore fresh;
   fresh.store(dfg, fp, arch_fp, options, degraded);
   EXPECT_FALSE(fresh.lookup(dfg, arch, fp, arch_fp, options).has_value());
 }
 
+TEST(KnowledgeStoreTest, BudgetPressureEvictsTheOldestCertificates) {
+  // A full knowledge budget makes room by evicting the key's oldest
+  // certificates: every new certificate is kept, the oldest are gone.
+  const Dfg dfg = dfg_from_text(dfg_to_text(benchmark_by_name("cfd").dfg));
+  const DfgFingerprint fp = fingerprint_dfg(dfg);
+  ASSERT_TRUE(fp.canonical);
+  KnowledgeStore::Options small;
+  small.memory_budget_mb = 1;
+  KnowledgeStore store(small);
+  const DecoupledMapperOptions options;
+  const std::uint64_t arch_fp = fingerprint_arch(CgraArch(4, 4));
+  const std::vector<int> labels(static_cast<std::size_t>(dfg.num_nodes()), 0);
+  // Distinct three-node partitions, well over what 1 MiB holds.
+  std::size_t published = 0;
+  std::vector<NodeId> newest;
+  for (NodeId a = 0; a < dfg.num_nodes() && published < 12000; ++a) {
+    CrossIiNogoodStore scratch;
+    for (NodeId b = a + 1; b < dfg.num_nodes(); ++b) {
+      for (NodeId c = b + 1; c < dfg.num_nodes(); ++c) {
+        scratch.add(2, {a, b, c}, labels);
+        newest = {a, b, c};
+      }
+    }
+    const std::size_t fresh = scratch.size();
+    EXPECT_EQ(store.publish(fp, arch_fp, options, scratch, 0), fresh);
+    published += fresh;
+  }
+  EXPECT_LE(store.stats().bytes_used, std::size_t{1} << 20);
+  // The oldest certificate was evicted, so publishing it again stores it
+  // again: an evicted partition is forgotten, not remembered as a dup.
+  CrossIiNogoodStore oldest;
+  oldest.add(2, {0, 1, 2}, labels);
+  EXPECT_EQ(store.publish(fp, arch_fp, options, oldest, 0), 1u);
+  EXPECT_LE(store.stats().bytes_used, std::size_t{1} << 20);
+  CrossIiNogoodStore seeded;
+  const std::size_t kept = store.seed(fp, arch_fp, options, &seeded);
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, published);
+  // The newest and the republished certificates survived, in the
+  // request's node space.
+  std::vector<SlotPartitionCert> certs;
+  std::size_t cursor = 0;
+  seeded.drain(&cursor, &certs);
+  const auto holds = [&](const std::vector<NodeId>& nodes) {
+    const std::vector<std::vector<NodeId>> want = {nodes};
+    return std::any_of(certs.begin(), certs.end(),
+                       [&](const SlotPartitionCert& cert) {
+                         return cert.blocks == want;
+                       });
+  };
+  EXPECT_TRUE(holds(newest));
+  EXPECT_TRUE(holds({0, 1, 2}));
+}
+
 // ---- warm starts ---------------------------------------------------------
+
+TEST(KnowledgeStoreTest, CertificatesTransferAcrossIsomorphicRelabelling) {
+  // Publish certificates learned on one DFG, then seed a request for an
+  // isomorphic relabelling: the seeded certificates are the same
+  // partitions, on the nodes the canonical labelling identifies.
+  const Dfg original = dfg_from_text(dfg_to_text(benchmark_by_name("fft").dfg));
+  const Dfg relabeled = reversed_copy(original);
+  const DfgFingerprint fa = fingerprint_dfg(original);
+  const DfgFingerprint fb = fingerprint_dfg(relabeled);
+  ASSERT_TRUE(fa.canonical && fb.canonical);
+  const std::size_t n = static_cast<std::size_t>(original.num_nodes());
+  // original node -> relabeled node, through canonical space.
+  std::vector<NodeId> from_canon_b(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    from_canon_b[static_cast<std::size_t>(fb.canon[v])] =
+        static_cast<NodeId>(v);
+  }
+  std::vector<NodeId> to_b(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    to_b[v] = from_canon_b[static_cast<std::size_t>(fa.canon[v])];
+  }
+
+  CrossIiNogoodStore scratch;
+  std::vector<int> mod3(n);
+  std::vector<int> mod2(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    mod3[v] = static_cast<int>(v % 3);
+    mod2[v] = static_cast<int>(v % 2);
+  }
+  ASSERT_TRUE(scratch.add(3, {0, 1, 2, 3, 4, 5}, mod3));
+  ASSERT_TRUE(scratch.add(3, {2, 4, 7}, mod3));
+  ASSERT_TRUE(scratch.add(2, {1, 3, 6, 8}, mod2));
+
+  KnowledgeStore store;
+  const DecoupledMapperOptions options;
+  const std::uint64_t arch_fp = fingerprint_arch(CgraArch(4, 4));
+  EXPECT_EQ(store.publish(fa, arch_fp, options, scratch, 3), 3u);
+  // A second publish of the same knowledge stores nothing, and a lower
+  // floor never lowers the stored one.
+  EXPECT_EQ(store.publish(fa, arch_fp, options, scratch, 2), 0u);
+  EXPECT_EQ(store.stats().certs_published, 3u);
+  EXPECT_EQ(store.refuted_floor(fb, arch_fp, options), 3);
+
+  CrossIiNogoodStore seeded;
+  ASSERT_EQ(store.seed(fb, arch_fp, options, &seeded), 3u);
+  std::vector<SlotPartitionCert> published;
+  std::vector<SlotPartitionCert> got;
+  std::size_t cursor = 0;
+  scratch.drain(&cursor, &published);
+  cursor = 0;
+  seeded.drain(&cursor, &got);
+  auto partitions = [](const std::vector<SlotPartitionCert>& certs) {
+    std::set<std::vector<std::vector<NodeId>>> out;
+    for (const SlotPartitionCert& cert : certs) out.insert(cert.blocks);
+    return out;
+  };
+  std::vector<SlotPartitionCert> want;
+  for (const SlotPartitionCert& cert : published) {
+    want.push_back(relabel(cert, to_b));
+  }
+  EXPECT_EQ(partitions(got), partitions(want));
+  for (const SlotPartitionCert& cert : got) {
+    EXPECT_EQ(cert.source_ii, 0);  // foreign: every attempt lifts it
+    EXPECT_EQ(cert.blocks.size(), cert.block_slots.size());
+  }
+}
 
 TEST(ServiceTest, WarmWalkMatchesSequentialAnswerWithEmptyStore) {
   // map_warm seeded with nothing must agree with map() on ii/success —

@@ -218,7 +218,8 @@ TEST(TimeEngines, MapperDifferentialRestrictedMode) {
         EXPECT_TRUE(mapping_is_valid(*c.dfg, arch, r.mapping,
                                      MrrgModel::kConsecutiveOnly));
       } else {
-        EXPECT_FALSE(r.timed_out) << c.name << " " << to_string(engine);
+        EXPECT_EQ(r.outcome, MapOutcome::kRefuted)
+            << c.name << " " << to_string(engine);
       }
       results[engine == TimeEngine::kReference] = r;
     }

@@ -42,7 +42,7 @@ struct CliOptions {
   std::string mapper = "decoupled";
   TimeEngine time_engine = TimeEngine::kIncremental;
   bool restricted = false;
-  int threads = 0;   // portfolio/speculative mappers: 0 = auto
+  int threads = 0;   // speculative mapper and batch: 0 = auto
   int lookahead = 2;  // speculative mapper: IIs raced beyond the frontier
   bool share_nogoods = false;  // speculative: cross-II cert warm start
   std::uint64_t space_budget = 0;    // valid only when space_budget_set
@@ -66,7 +66,7 @@ struct CliOptions {
       "  show <bench|file.dfg>\n"
       "  map <bench|file.dfg> [--grid N] [--topology mesh|torus|diagonal]\n"
       "      [--timeout S]\n"
-      "      [--mapper decoupled|speculative|portfolio|coupled|anneal]\n"
+      "      [--mapper decoupled|speculative|coupled|anneal]\n"
       "      [--time-engine incremental|reference] [--threads N]\n"
       "      [--lookahead N] [--share-nogoods]\n"
       "      [--space-budget N] [--shrink-divisor N] [--no-adaptive-budget]\n"
@@ -253,8 +253,7 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
   // Outcome-taxonomy exit code (decoupled-family mappers); the legacy
   // coupled/anneal paths keep the historical 0/1.
   std::optional<int> exit_override;
-  if (opt.mapper == "decoupled" || opt.mapper == "portfolio" ||
-      opt.mapper == "speculative") {
+  if (opt.mapper == "decoupled" || opt.mapper == "speculative") {
     DecoupledMapperOptions mopt;
     mopt.timeout_s = opt.timeout_s;
     mopt.time.engine = opt.time_engine;
@@ -286,15 +285,7 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
     }
     const DecoupledMapper mapper(mopt);
     MapResult r;
-    if (opt.mapper == "portfolio") {
-      PortfolioOptions popt;
-      popt.num_threads = opt.threads;
-      r = mapper.map_portfolio(dfg, arch, popt);
-      if (r.success) {
-        std::cout << "portfolio winner: config #" << r.portfolio_config
-                  << '\n';
-      }
-    } else if (opt.mapper == "speculative") {
+    if (opt.mapper == "speculative") {
       SpeculativeOptions sopt;
       sopt.num_threads = opt.threads;
       sopt.lookahead = opt.lookahead;

@@ -54,50 +54,69 @@ void on_signal(int) { g_stop.store(true, std::memory_order_release); }
   std::exit(2);
 }
 
-/// Read up to '\n'-delimited lines from fd, answer each through the
-/// service. Returns when the peer hangs up or shutdown is requested.
+/// The poll tick of the accept loop and of every connection: how long an
+/// idle daemon takes to notice a signal or a shutdown request.
+constexpr int kTickMs = 200;
+
+/// Longest request line a connection buffers. A client that sends more
+/// without a newline gets a protocol error and is disconnected.
+constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
+
+bool stopping(const MappingService* service) {
+  return g_stop.load(std::memory_order_acquire) ||
+         service->shutdown_requested();
+}
+
+/// Write `line` plus '\n' to fd; false when the peer is gone.
+bool write_line(int fd, std::string line) {
+  line.push_back('\n');
+  for (std::size_t off = 0; off < line.size();) {
+    const ssize_t w = ::write(fd, line.data() + off, line.size() - off);
+    if (w <= 0) return false;
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+/// Read '\n'-delimited lines from fd and answer each through the service.
+/// Returns (closing fd) when the peer hangs up, sends an oversize line, or
+/// the daemon stops — an idle client never holds a stopping daemon up.
 void serve_connection(MappingService* service, int fd) {
   std::string buffer;
   char chunk[4096];
-  for (;;) {
+  while (!stopping(service)) {
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, kTickMs);
+    if (ready < 0 && errno != EINTR) break;
+    if (ready <= 0) continue;
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
+    for (std::size_t nl; (nl = buffer.find('\n', start)) != std::string::npos;
+         start = nl + 1) {
       std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      std::string response = service->handle_line(line);
-      response.push_back('\n');
-      std::size_t off = 0;
-      while (off < response.size()) {
-        const ssize_t w =
-            ::write(fd, response.data() + off, response.size() - off);
-        if (w <= 0) {
-          ::close(fd);
-          return;
-        }
-        off += static_cast<std::size_t>(w);
-      }
-      if (service->shutdown_requested()) {
+      if (!write_line(fd, service->handle_line(line)) ||
+          service->shutdown_requested()) {
         ::close(fd);
         return;
       }
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxLineBytes) {
+      write_line(fd, "{\"id\":\"\",\"ok\":false,\"error\":\"request line "
+                     "exceeds " + std::to_string(kMaxLineBytes) + " bytes\"}");
+      break;
+    }
   }
   ::close(fd);
 }
 
 int serve_stdio(MappingService* service) {
   std::string line;
-  while (!service->shutdown_requested() &&
-         !g_stop.load(std::memory_order_acquire) &&
-         std::getline(std::cin, line)) {
+  while (!stopping(service) && std::getline(std::cin, line)) {
     if (line.empty()) continue;
     std::cout << service->handle_line(line) << '\n' << std::flush;
   }
@@ -107,10 +126,9 @@ int serve_stdio(MappingService* service) {
 int serve_socket(MappingService* service, int listen_fd,
                  const std::string& unix_path) {
   std::vector<std::thread> connections;
-  while (!service->shutdown_requested() &&
-         !g_stop.load(std::memory_order_acquire)) {
+  while (!stopping(service)) {
     pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
+    const int ready = ::poll(&pfd, 1, kTickMs);
     if (ready < 0 && errno != EINTR) break;
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd, nullptr, nullptr);
