@@ -14,7 +14,10 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
+
+#include "support/simd.hpp"
 
 namespace monomap::bench {
 
@@ -141,6 +144,13 @@ inline double median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   const std::size_t mid = xs.size() / 2;
   return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
+}
+
+/// The host facts every BENCH header records: the core count and the SIMD
+/// level the bitset kernels dispatch to.
+inline void host_fields(JsonWriter& json) {
+  json.field("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  json.field("simd", simd::level_name(simd::active_level()));
 }
 
 }  // namespace monomap::bench

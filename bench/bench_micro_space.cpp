@@ -10,16 +10,15 @@
 //    seconds, effort counters per engine), recorded in BENCH_space.json to
 //    track the perf trajectory across PRs. Grid 8 compares the bitset
 //    engine against the scan-based reference and carries the speculative
-//    section (full decoupled solves: single walk vs speculative race); larger grids (multi-word domains) compare the dispatched
-//    SIMD bitset engine against the same engine pinned to the scalar
-//    kernels ("bitset-scalar") and against the untiled domain layout
-//    ("bitset-untiled", occupancy skipping off), on suite DFGs plus a
-//    scaled synthetic layered DFG whose schedule is computed directly
-//    (layer mod II) and satisfiable placeable-grid instances (one sized
-//    against each fabric, plus the 64x64 32x32-patch suite at II 4-6), so
-//    the section cost stays in the space phase and covers both refutation
-//    and placement throughput. The summary's untiled-over-tiled medians
-//    pool the placeable-* placement rows per grid.
+//    section (full decoupled solves: single walk vs speculative race);
+//    larger grids (multi-word domains) compare the dispatched SIMD bitset
+//    engine against the same engine pinned to the scalar kernels
+//    ("bitset-scalar"), on suite DFGs plus a scaled synthetic layered DFG
+//    whose schedule is computed directly (layer mod II) and satisfiable
+//    placeable-grid instances (one sized against each fabric, plus the
+//    64x64 32x32-patch suite at II 4-6), so the section cost stays in the
+//    space phase and covers both refutation and placement throughput. The
+//    header records the host's core count and the dispatched SIMD level.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -202,65 +201,43 @@ bool suite_selected(const std::vector<std::string>& filter,
   return false;
 }
 
-/// One multi-word case: the dispatched-SIMD tiled engine, the scalar
-/// kernels and the untiled layout, timed *interleaved within each rep*
-/// after one untimed warm-up. The clock on shared hosts ramps and wanders
-/// on the timescale of a whole repeats-block, so timing the variants in
-/// consecutive blocks systematically biases whichever runs first
-/// (measured: the same instance pair swings from 0.45x to 1.4x purely by
-/// block order). Adjacent runs share clock state, so the drift cancels
-/// out of the ratios. Emits the three rows and appends this case's
-/// summary inputs.
+/// One multi-word case: the dispatched-SIMD engine and the scalar
+/// kernels, timed *interleaved within each rep* after one untimed warm-up.
+/// The clock on shared hosts ramps and wanders on the timescale of a whole
+/// repeats-block, so timing the variants in consecutive blocks
+/// systematically biases whichever runs first (measured: the same instance
+/// pair swings from 0.45x to 1.4x purely by block order). Adjacent runs
+/// share clock state, so the drift cancels out of the ratios. Emits the
+/// two rows and appends this case's summary inputs.
 void run_multi_word_case(JsonWriter& json, const std::string& name, int grid,
                          const Prepared& p, const CgraArch& arch, int repeats,
                          std::vector<double>& scalar_ratio,
-                         std::vector<double>& untiled_ratio,
                          std::vector<double>& grid_bytes) {
   SpaceOptions opt;
   find_monomorphism(*p.dfg, arch, p.labels, p.ii, opt);  // warm-up, untimed
-  std::vector<double> tiled_s, scalar_s, untiled_s;
-  SpaceResult last, scalar_last, untiled_last;
+  std::vector<double> simd_s, scalar_s;
+  SpaceResult last, scalar_last;
   for (int r = 0; r < repeats; ++r) {
     last = find_monomorphism(*p.dfg, arch, p.labels, p.ii, opt);
-    tiled_s.push_back(last.seconds);
+    simd_s.push_back(last.seconds);
     const simd::Level saved = simd::active_level();
     simd::set_level(simd::Level::kScalar);
     scalar_last = find_monomorphism(*p.dfg, arch, p.labels, p.ii, opt);
     scalar_s.push_back(scalar_last.seconds);
     simd::set_level(saved);
-    // Untiled layout (occupancy skipping off): identical trace and
-    // counters except tiles_skipped == 0 and more bytes touched, so
-    // untiled / tiled seconds isolates the cache-blocking win.
-    const bool tiles_saved = simd::set_tile_skipping(false);
-    untiled_last = find_monomorphism(*p.dfg, arch, p.labels, p.ii, opt);
-    untiled_s.push_back(untiled_last.seconds);
-    simd::set_tile_skipping(tiles_saved);
   }
-  const double bitset_med = median(tiled_s);
+  const double bitset_med = median(simd_s);
   emit_space_row(json, name, grid, "bitset", p.ii, bitset_med, last);
   grid_bytes.push_back(static_cast<double>(last.domain_bytes_touched));
   if (bitset_med > 0.0) scalar_ratio.push_back(median(scalar_s) / bitset_med);
   emit_space_row(json, name, grid, "bitset-scalar", p.ii, median(scalar_s),
                  scalar_last);
-  // The layout summary pools the satisfiable placement rows only:
-  // refutation rows (suite + layered) spend their time in narrow domains
-  // where both layouts touch the same lines, so folding them in would
-  // measure instance mix, not the layout. Their untiled rows are still
-  // recorded individually.
-  if (bitset_med > 0.0 && name.rfind("placeable-", 0) == 0) {
-    untiled_ratio.push_back(median(untiled_s) / bitset_med);
-  }
-  emit_space_row(json, name, grid, "bitset-untiled", p.ii, median(untiled_s),
-                 untiled_last);
 }
 
 /// The 64x64 placement cases: the full 32x32 mesh-patch trio at II 4-6 —
 /// the wide-domain, moderate-backtrack regime the cache-blocked layout
-/// targets (low II dilutes the comparison with the mono1 sweep's
-/// layout-neutral scalar work; high-II variants of these patches
-/// backtrack thousands of times and churn the tile trail instead) — then
-/// the spec_for-sized instance. The untiled/tiled summary pools exactly
-/// the placeable-* rows, so these four carry the 64x64 acceptance median.
+/// targets (high-II variants of these patches backtrack thousands of times
+/// and churn the tile trail instead) — then the spec_for-sized instance.
 void append_placeable64_cases(
     const std::vector<std::string>& suite_filter, const CgraArch& arch,
     std::vector<Dfg>& keep,
@@ -320,28 +297,24 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   json.end_array();
   json.field("topology", topology_name(Topology::kMesh));
   json.field("repeats", repeats);
-  json.field("simd", simd::level_name(simd::active_level()));
+  monomap::bench::host_fields(json);
 
   std::vector<double> ref_ratios;  // grid 8: reference / bitset
   // Per-grid summary inputs for the multi-word sections.
-  std::map<int, std::vector<double>> scalar_ratios;   // scalar / simd
-  std::map<int, std::vector<double>> untiled_ratios;  // untiled / tiled
-  std::map<int, std::vector<double>> bytes_touched;   // tiled-row bytes
+  std::map<int, std::vector<double>> scalar_ratios;  // scalar / simd
+  std::map<int, std::vector<double>> bytes_touched;  // bitset-row bytes
 
   json.key("space");
   json.begin_array();
 
-  // The 64x64 placement (layout-comparison) suite runs before every other
-  // section, in near-fresh process state. The untiled-over-tiled
-  // differential is partly a memory-system effect beyond cache lines:
-  // long-lived process state — the allocator adapting its mmap/trim
-  // thresholds after earlier sections' large instances, hugepage
-  // promotion of a heap that has been hot for seconds — measurably
-  // compresses it (same instance pair: ~1.4x when measured first in the
-  // process, ~1.2x after a single 1444-node case has run). A production
-  // mapping is one fresh process per instance, so the clean-state numbers
-  // are the representative ones; rows are self-describing (suite/grid/
-  // engine fields), so their position in the array is free.
+  // The 64x64 placement suite runs before every other section, in
+  // near-fresh process state. Long-lived process state — the allocator
+  // adapting its mmap/trim thresholds after earlier sections' large
+  // instances, hugepage promotion of a heap that has been hot for seconds
+  // — measurably shifts these rows' timings. A production mapping is one
+  // fresh process per instance, so the clean-state numbers are the
+  // representative ones; rows are self-describing (suite/grid/engine
+  // fields), so their position in the array is free.
   std::set<std::string> hoisted;
   if (std::find(grids.begin(), grids.end(), 64) != grids.end()) {
     const CgraArch arch = CgraArch::square(64);
@@ -351,8 +324,7 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
     append_placeable64_cases(suite_filter, arch, keep, cases);
     for (const auto& [name, p] : cases) {
       run_multi_word_case(json, name, 64, p, arch, repeats,
-                          scalar_ratios[64], untiled_ratios[64],
-                          bytes_touched[64]);
+                          scalar_ratios[64], bytes_touched[64]);
       hoisted.insert(name);
     }
   }
@@ -424,8 +396,7 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
         emit_space_row(json, name, grid, "reference", p.ii, med, ref_last);
       } else {
         run_multi_word_case(json, name, grid, p, arch, repeats,
-                            scalar_ratios[grid], untiled_ratios[grid],
-                            bytes_touched[grid]);
+                            scalar_ratios[grid], bytes_touched[grid]);
       }
     }
   }
@@ -488,13 +459,6 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   json.key("median_speedup_scalar_over_simd");
   json.begin_object();
   for (const auto& [grid, ratios] : scalar_ratios) {
-    json.field(std::to_string(grid), median(ratios));
-  }
-  json.end_object();
-  json.key("median_speedup_untiled_over_tiled");
-  json.begin_object();
-  for (const auto& [grid, ratios] : untiled_ratios) {
-    if (ratios.empty()) continue;  // grid ran no placement rows
     json.field(std::to_string(grid), median(ratios));
   }
   json.end_object();

@@ -96,6 +96,7 @@ void run_json_mode(int grid, int repeats) {
   json.field("grid", grid);
   json.field("topology", topology_name(arch.topology()));
   json.field("repeats", repeats);
+  monomap::bench::host_fields(json);
 
   std::vector<double> ratios;
   json.key("time");

@@ -366,6 +366,7 @@ int main(int argc, char** argv) {
   w.field("grid", grid);
   w.field("topology", "mesh");
   w.field("repeats", repeats);
+  bench::host_fields(w);
   w.field("transport", unix_path.empty() ? "in-process" : "unix");
   w.key("serve");
   w.begin_array();

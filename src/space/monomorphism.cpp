@@ -264,14 +264,13 @@ class BitsetSearcher {
     words_ = (num_pes_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
     node_words_ = (n_ + PeSet::kWordBits - 1) / PeSet::kWordBits;
     num_tiles_ = (words_ + PeSet::kTileWords - 1) / PeSet::kTileWords;
-    // Cached once per search so a run is internally consistent even if the
-    // global toggle flips concurrently (the bench flips it between runs).
+    // Tiling is a size decision, the same one PeSet makes: multi-word
+    // domains whose tiles fit the occupancy bitmap.
     tile_skip_ = words_ >= PeSet::kDispatchWords &&
-                 words_ <= PeSet::kMaxTrackedWords &&
-                 simd::tile_skipping_enabled();
-    // Same once-per-search pinning for the dispatch level: the tiled loops
-    // below call kernels per 8-word tile, where re-resolving the dispatch
-    // table each call costs as much as the kernel itself.
+                 words_ <= PeSet::kMaxTrackedWords;
+    // The dispatch level is pinned once per search: the tiled loops below
+    // call kernels per 8-word tile, where re-resolving the dispatch table
+    // each call costs as much as the kernel itself.
     hk_ = simd::hot_kernels();
     use_sparse_ = options_.order == SpaceOrder::kSparseMrv ||
                   (options_.order == SpaceOrder::kDynamicMrv &&
@@ -564,25 +563,18 @@ class BitsetSearcher {
     return assignment_[static_cast<std::size_t>(v)] >= 0;
   }
 
-  /// domain_[u] &= mask, trailing every change. Multi-word domains use a
-  /// vectorised non-mutating preview: the dirty bitmask names exactly the
-  /// words `&=` would change, and untouched words are never stored back.
-  /// Untiled, each dirty word is trailed and rewritten individually (in
-  /// ascending order, so the trail layout is identical at every SIMD
-  /// level). With tile skipping the preview runs per occupied cache-line
-  /// tile of the domain — tiles the occupancy map proves empty hold no
-  /// candidates and contribute nothing — and the trail snapshots at tile
-  /// granularity: one whole-tile copy, then a branch-free bulk AND,
-  /// instead of the per-dirty-word loop. Tiles the *mask* proves empty are
-  /// snapshot and wiped without loading the mask. Either way a tile whose
-  /// intersection comes out all-zero is dropped from the domain's
-  /// occupancy map, which is how domains narrow to a few lines as the
-  /// search deepens. The search trace (return values, decisions, every
-  /// counter except the trail/byte/tile telemetry) is identical across
-  /// layouts, and fully bit-identical across SIMD levels within a layout
-  /// (the preview and the occupancy map are level-independent); only the
-  /// trail representation and the cache lines touched differ between
-  /// layouts.
+  /// domain_[u] &= mask, trailing every change. Tiled (multi-word)
+  /// domains run a non-mutating preview per occupied cache-line tile —
+  /// tiles the occupancy map proves empty hold no candidates and
+  /// contribute nothing — and the trail snapshots at tile granularity:
+  /// one whole-tile copy, then a branch-free bulk AND, for any tile the
+  /// preview says the AND would change. Tiles the *mask* proves empty are snapshot and
+  /// wiped without loading the mask. A tile whose intersection comes out
+  /// all-zero is dropped from the domain's occupancy map, which is how
+  /// domains narrow to a few lines as the search deepens. The preview and
+  /// the occupancy map are level-independent, so the whole trace is
+  /// bit-identical across SIMD levels. Narrow domains (and the rare ones
+  /// too wide for the bitmap) trail each changed word individually.
   Change intersect_domain(NodeId u, const PeSet& mask) {
     PeSet& d = domain_[static_cast<std::size_t>(u)];
     PeSet::Word any = 0;
@@ -615,26 +607,12 @@ class BitsetSearcher {
                             mask.words().data() + base,
                             static_cast<std::size_t>(n));
         any |= pv.any;
-        if (pv.dirty != 0) {
+        if (pv.lost != 0) {
           push_tile(u, base, n, d);
           d.and_words(mask, base, n);
           changed = true;
         }
         if (pv.any == 0) d.mark_tile_empty(t);
-      }
-    } else if (words_ >= PeSet::kDispatchWords) {
-      words_touched_ += static_cast<std::uint64_t>(words_);
-      for (int base = 0; base < words_; base += 64) {
-        const int n = std::min(64, words_ - base);
-        const simd::AndPreview pv = d.intersect_preview(mask, base, n);
-        any |= pv.any;
-        for (PeSet::Word dirty = pv.dirty; dirty != 0; dirty &= dirty - 1) {
-          const int w = base + std::countr_zero(dirty);
-          const PeSet::Word old = d.word(w);
-          trail_.push_back(TrailEntry{u, w, old});
-          d.restore_word(w, old & mask.word(w));
-          changed = true;
-        }
       }
     } else {
       words_touched_ += static_cast<std::uint64_t>(words_);

@@ -16,7 +16,7 @@
 // is a single word and every operation below compiles to a couple of
 // instructions; at 1K-4K PEs (32x32-64x64 fabrics) a set is 16-64 words and
 // the bulk operations dispatch to the runtime-selected SIMD kernels in
-// support/simd.hpp (AVX2/AVX-512 with a bit-identical scalar fallback).
+// support/simd.hpp (one source compiled per tier, so every tier agrees).
 //
 // Tiled occupancy layout: the words are additionally viewed as cache-line
 // tiles of simd::kTileWords (8) words, and every set tracks a one-word
@@ -26,11 +26,11 @@
 // tiles, so the bulk read operations walk only the occupied tiles and the
 // other 60+ cache lines are never loaded. The bitmap is a conservative
 // over-approximation (clearing a bit requires proof, setting one doesn't),
-// which keeps every operation exact: results, counts, iteration order, and
-// the dirty-word trail are bit-identical with skipping on or off — only
-// the memory traffic differs. simd::set_tile_skipping()/MONOMAP_TILES
-// toggles the skipping globally (the bench records both layouts); sets
-// wider than 64 tiles don't track occupancy and keep the full-span paths.
+// which keeps every operation exact: results, counts and iteration order
+// are what a full scan would give — only the memory traffic differs.
+// Tiling is a size decision: every set of kDispatchWords..kMaxTrackedWords
+// words skips by occupancy, narrower sets keep the inline word loops, and
+// sets wider than 64 tiles don't track occupancy and scan the full span.
 #ifndef MONOMAP_SUPPORT_PE_SET_HPP
 #define MONOMAP_SUPPORT_PE_SET_HPP
 
@@ -121,7 +121,7 @@ class PeSet {
 
   [[nodiscard]] int count() const {
     if (num_words() >= kDispatchWords) {
-      if (tile_skipping_active()) {
+      if (tracks_tiles()) {
         int c = 0;
         for_tile_runs(occ_, [&](int base, int n) {
           c += simd::count(words_.data() + base,
@@ -138,7 +138,7 @@ class PeSet {
   }
   [[nodiscard]] bool empty() const {
     if (num_words() >= kDispatchWords) {
-      if (tile_skipping_active()) {
+      if (tracks_tiles()) {
         return for_tile_runs(occ_, [&](int base, int n) {
           return simd::all_zero(words_.data() + base,
                                 static_cast<std::size_t>(n));
@@ -207,7 +207,7 @@ class PeSet {
   [[nodiscard]] int intersect_count(const PeSet& o) const {
     MONOMAP_ASSERT(o.words_.size() == words_.size());
     if (num_words() >= kDispatchWords) {
-      if (tile_skipping_active()) {
+      if (tracks_tiles()) {
         int c = 0;
         for_tile_runs(occ_ & o.occ_, [&](int base, int n) {
           c += simd::intersect_count(words_.data() + base,
@@ -227,24 +227,11 @@ class PeSet {
     return c;
   }
 
-  /// Non-mutating fused intersect over words [base, base+n), n <= 64: which
-  /// words would `this &= o` change (bit i of .dirty <=> word base+i), and
-  /// the OR of the intersection words in the range (.any). The searcher's
-  /// trail uses this to rewrite (and record) only the dirty words.
-  [[nodiscard]] simd::AndPreview intersect_preview(const PeSet& o, int base,
-                                                   int n) const {
-    MONOMAP_ASSERT(o.words_.size() == words_.size());
-    MONOMAP_ASSERT(base >= 0 && n >= 0 &&
-                   base + n <= static_cast<int>(words_.size()));
-    return simd::and_preview(words_.data() + base, o.words_.data() + base,
-                             static_cast<std::size_t>(n));
-  }
-
   /// True if every member of this set is also in `o`.
   [[nodiscard]] bool is_subset_of(const PeSet& o) const {
     MONOMAP_ASSERT(o.words_.size() == words_.size());
     if (num_words() >= kDispatchWords) {
-      if (tile_skipping_active()) {
+      if (tracks_tiles()) {
         // Tiles empty in this set are trivially contained.
         return for_tile_runs(occ_, [&](int base, int n) {
           return simd::is_subset_of(words_.data() + base,
@@ -264,7 +251,7 @@ class PeSet {
   [[nodiscard]] bool intersects(const PeSet& o) const {
     MONOMAP_ASSERT(o.words_.size() == words_.size());
     if (num_words() >= kDispatchWords) {
-      if (tile_skipping_active()) {
+      if (tracks_tiles()) {
         return !for_tile_runs(occ_ & o.occ_, [&](int base, int n) {
           return !simd::intersects(words_.data() + base,
                                    o.words_.data() + base,
@@ -300,7 +287,7 @@ class PeSet {
     std::size_t wi = static_cast<std::size_t>(start / kWordBits);
     Word w = words_[wi] >> (start % kWordBits);
     if (w != 0) return start + std::countr_zero(w);
-    if (num_words() >= kDispatchWords && tile_skipping_active()) {
+    if (num_words() >= kDispatchWords && tracks_tiles()) {
       const int nw = num_words();
       int i = static_cast<int>(wi) + 1;
       while (i < nw) {
@@ -327,12 +314,11 @@ class PeSet {
     return -1;
   }
 
-  /// Visits set ids in ascending order (callers rely on the order being
-  /// identical with tile skipping on or off — skipped tiles hold no ids).
+  /// Visits set ids in ascending order (skipped tiles hold no ids).
   template <typename F>
   void for_each(F&& f) const {
     const int nw = num_words();
-    if (nw >= kDispatchWords && tile_skipping_active()) {
+    if (nw >= kDispatchWords && tracks_tiles()) {
       for (Word rest = occ_; rest != 0; rest &= rest - 1) {
         const int t = std::countr_zero(rest);
         const int end = (t + 1) * kTileWords < nw ? (t + 1) * kTileWords : nw;
@@ -439,10 +425,6 @@ class PeSet {
     // Sets wider than 64 tiles don't track occupancy (tracks_tiles() is
     // false and no read path consults occ_), but stay shift-safe.
     if (t < kWordBits) occ_ |= Word{1} << t;
-  }
-
-  [[nodiscard]] bool tile_skipping_active() const {
-    return tracks_tiles() && simd::tile_skipping_enabled();
   }
 
   /// Invoke f(base_word, n_words) for each maximal run of tiles set in

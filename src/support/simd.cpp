@@ -1,31 +1,20 @@
-// Kernel implementations for support/simd.hpp.
+// Kernel tiers for support/simd.hpp.
 //
-// Layout: one KernelTable of function pointers per level; dispatch swaps an
-// atomic table pointer. The scalar table is the portable reference; the
-// AVX2/AVX-512 tables are compiled with per-function target attributes so
-// this file builds (and the binary runs) on any x86-64 — the vector code is
-// only ever *executed* after a CPUID check. Non-x86 builds get the scalar
-// table alone.
+// The kernel bodies live once, in support/simd_kernels.inc. This file
+// compiles them once per tier — scalar with no target attribute and, on
+// x86, again under the AVX2 and AVX-512 target attributes — so the
+// translation unit (and the whole default build) stays portable while each
+// tier gets its own vector code. Dispatch swaps an atomic pointer to one
+// tier's KernelTable; a tier is only ever installed after a CPUID check.
 #include "support/simd.hpp"
 
 #include <atomic>
 #include <bit>
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
-#include "support/assert.hpp"
-
-// MONOMAP_SIMD_FORCE_SCALAR (CMake option) drops the vector tables even on
-// x86 — the portability assert CI uses to prove the scalar reference builds
-// and dispatches standalone, exactly as a non-x86 (e.g. NEON) host would.
-#if !defined(MONOMAP_SIMD_FORCE_SCALAR) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define MONOMAP_SIMD_X86 1
-#include <immintrin.h>
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define MONOMAP_X86 1
 #else
-#define MONOMAP_SIMD_X86 0
+#define MONOMAP_X86 0
 #endif
 
 namespace monomap::simd {
@@ -42,521 +31,50 @@ struct KernelTable {
   bool (*intersects)(const Word*, const Word*, std::size_t);
   bool (*is_subset_of)(const Word*, const Word*, std::size_t);
   AndPreview (*and_preview)(const Word*, const Word*, std::size_t);
-  Word (*occupancy_mask)(const Word*, std::size_t);
   Level level;
 };
 
-// --- scalar reference (4-way unrolled) -------------------------------------
-// The unroll gives the compiler independent accumulator chains to schedule;
-// semantics are the plain word loop.
+#define MONOMAP_TIER
+namespace scalar {
+constexpr Level kTierLevel = Level::kScalar;
+#include "support/simd_kernels.inc"
+}  // namespace scalar
+#undef MONOMAP_TIER
 
-void s_and_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a[i] &= b[i];
-    a[i + 1] &= b[i + 1];
-    a[i + 2] &= b[i + 2];
-    a[i + 3] &= b[i + 3];
-  }
-  for (; i < n; ++i) a[i] &= b[i];
-}
+#if MONOMAP_X86
+// "popcnt" rides along in both tiers: the scalar tier's std::popcount is a
+// libgcc call, and on 1-7-word sets (20x20 fabrics and below) the vector
+// loops never start, so native popcnt in the tails is what a tier buys.
+#define MONOMAP_TIER __attribute__((target("avx2,popcnt")))
+namespace avx2 {
+constexpr Level kTierLevel = Level::kAvx2;
+#include "support/simd_kernels.inc"
+}  // namespace avx2
+#undef MONOMAP_TIER
 
-void s_or_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a[i] |= b[i];
-    a[i + 1] |= b[i + 1];
-    a[i + 2] |= b[i + 2];
-    a[i + 3] |= b[i + 3];
-  }
-  for (; i < n; ++i) a[i] |= b[i];
-}
-
-void s_and_not_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a[i] &= ~b[i];
-    a[i + 1] &= ~b[i + 1];
-    a[i + 2] &= ~b[i + 2];
-    a[i + 3] &= ~b[i + 3];
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-Word s_and_assign_any(Word* a, const Word* b, std::size_t n) {
-  Word any0 = 0;
-  Word any1 = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    any0 |= (a[i] &= b[i]);
-    any1 |= (a[i + 1] &= b[i + 1]);
-  }
-  for (; i < n; ++i) any0 |= (a[i] &= b[i]);
-  return any0 | any1;
-}
-
-int s_count(const Word* a, std::size_t n) {
-  int c0 = 0;
-  int c1 = 0;
-  int c2 = 0;
-  int c3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    c0 += std::popcount(a[i]);
-    c1 += std::popcount(a[i + 1]);
-    c2 += std::popcount(a[i + 2]);
-    c3 += std::popcount(a[i + 3]);
-  }
-  for (; i < n; ++i) c0 += std::popcount(a[i]);
-  return c0 + c1 + c2 + c3;
-}
-
-int s_intersect_count(const Word* a, const Word* b, std::size_t n) {
-  int c0 = 0;
-  int c1 = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    c0 += std::popcount(a[i] & b[i]);
-    c1 += std::popcount(a[i + 1] & b[i + 1]);
-  }
-  for (; i < n; ++i) c0 += std::popcount(a[i] & b[i]);
-  return c0 + c1;
-}
-
-bool s_all_zero(const Word* a, std::size_t n) {
-  Word acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc |= a[i];
-  return acc == 0;
-}
-
-bool s_intersects(const Word* a, const Word* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-bool s_is_subset_of(const Word* a, const Word* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
-}
-
-AndPreview s_and_preview(const Word* a, const Word* b, std::size_t n) {
-  AndPreview r{0, 0};
-  for (std::size_t i = 0; i < n; ++i) {
-    const Word next = a[i] & b[i];
-    r.any |= next;
-    r.dirty |= static_cast<Word>(next != a[i]) << i;
-  }
-  return r;
-}
-
-Word s_occupancy_mask(const Word* a, std::size_t n) {
-  Word occ = 0;
-  std::size_t tile = 0;
-  for (std::size_t base = 0; base < n; base += kTileWords, ++tile) {
-    const std::size_t end = base + kTileWords < n ? base + kTileWords : n;
-    Word acc = 0;
-    for (std::size_t i = base; i < end; ++i) acc |= a[i];
-    occ |= static_cast<Word>(acc != 0) << tile;
-  }
-  return occ;
-}
-
-constexpr KernelTable kScalarTable{
-    s_and_assign, s_or_assign,   s_and_not_assign, s_and_assign_any,
-    s_count,      s_intersect_count, s_all_zero,   s_intersects,
-    s_is_subset_of, s_and_preview, s_occupancy_mask, Level::kScalar,
-};
-
-#if MONOMAP_SIMD_X86
-
-// --- AVX2 ------------------------------------------------------------------
-// target attributes keep the rest of the build portable. "popcnt" rides
-// along for the scalar tails (every AVX2 CPU has it; dispatch still checks).
-
-#define MONOMAP_AVX2 __attribute__((target("avx2,popcnt")))
-
-MONOMAP_AVX2 void v2_and_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_and_si256(va, vb));
-  }
-  for (; i < n; ++i) a[i] &= b[i];
-}
-
-MONOMAP_AVX2 void v2_or_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_or_si256(va, vb));
-  }
-  for (; i < n; ++i) a[i] |= b[i];
-}
-
-MONOMAP_AVX2 void v2_and_not_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // andnot(x, y) = ~x & y, so operands swap.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_andnot_si256(vb, va));
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-MONOMAP_AVX2 Word v2_and_assign_any(Word* a, const Word* b, std::size_t n) {
-  __m256i vany = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vn = _mm256_and_si256(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i), vn);
-    vany = _mm256_or_si256(vany, vn);
-  }
-  Word any = !_mm256_testz_si256(vany, vany);
-  for (; i < n; ++i) any |= (a[i] &= b[i]);
-  return any;
-}
-
-/// Per-64-bit-lane popcount via the pshufb nibble lookup (Mula's method);
-/// returns 4 lane counts as epi64.
-MONOMAP_AVX2 inline __m256i v2_popcount_epi64(__m256i v) {
-  const __m256i lookup =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                      _mm256_shuffle_epi8(lookup, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
-
-MONOMAP_AVX2 int v2_count(const Word* a, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    acc = _mm256_add_epi64(acc, v2_popcount_epi64(va));
-  }
-  Word lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int c = static_cast<int>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) c += std::popcount(a[i]);
-  return c;
-}
-
-MONOMAP_AVX2 int v2_intersect_count(const Word* a, const Word* b,
-                                    std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, v2_popcount_epi64(_mm256_and_si256(va, vb)));
-  }
-  Word lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int c = static_cast<int>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) c += std::popcount(a[i] & b[i]);
-  return c;
-}
-
-MONOMAP_AVX2 bool v2_all_zero(const Word* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    if (!_mm256_testz_si256(va, va)) return false;
-  }
-  for (; i < n; ++i) {
-    if (a[i] != 0) return false;
-  }
-  return true;
-}
-
-MONOMAP_AVX2 bool v2_intersects(const Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (!_mm256_testz_si256(va, vb)) return true;  // testz: (va & vb) == 0
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-MONOMAP_AVX2 bool v2_is_subset_of(const Word* a, const Word* b,
-                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // testc: (~vb & va) == 0, i.e. va ⊆ vb.
-    if (!_mm256_testc_si256(vb, va)) return false;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
-}
-
-MONOMAP_AVX2 AndPreview v2_and_preview(const Word* a, const Word* b,
-                                       std::size_t n) {
-  AndPreview r{0, 0};
-  __m256i vany = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vn = _mm256_and_si256(va, vb);
-    vany = _mm256_or_si256(vany, vn);
-    // Lane-wise vn == va (all-ones / all-zeros per 64-bit lane); the double
-    // movemask reads one bit per lane.
-    const __m256i eq = _mm256_cmpeq_epi64(vn, va);
-    const Word unchanged = static_cast<Word>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-    r.dirty |= (~unchanged & 0xF) << i;
-  }
-  Word any_tail = !_mm256_testz_si256(vany, vany);
-  for (; i < n; ++i) {
-    const Word next = a[i] & b[i];
-    any_tail |= next;
-    r.dirty |= static_cast<Word>(next != a[i]) << i;
-  }
-  r.any = any_tail;
-  return r;
-}
-
-MONOMAP_AVX2 Word v2_occupancy_mask(const Word* a, std::size_t n) {
-  Word occ = 0;
-  std::size_t tile = 0;
-  std::size_t base = 0;
-  for (; base + kTileWords <= n; base += kTileWords, ++tile) {
-    const __m256i lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + base));
-    const __m256i hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + base + 4));
-    const __m256i v = _mm256_or_si256(lo, hi);
-    occ |= static_cast<Word>(!_mm256_testz_si256(v, v)) << tile;
-  }
-  if (base < n) {
-    Word acc = 0;
-    for (std::size_t i = base; i < n; ++i) acc |= a[i];
-    occ |= static_cast<Word>(acc != 0) << tile;
-  }
-  return occ;
-}
-
-constexpr KernelTable kAvx2Table{
-    v2_and_assign, v2_or_assign,   v2_and_not_assign, v2_and_assign_any,
-    v2_count,      v2_intersect_count, v2_all_zero,   v2_intersects,
-    v2_is_subset_of, v2_and_preview, v2_occupancy_mask, Level::kAvx2,
-};
-
-// --- AVX-512 ---------------------------------------------------------------
-
-#define MONOMAP_AVX512 \
+#define MONOMAP_TIER \
   __attribute__((target("avx512f,avx512bw,avx512vpopcntdq,popcnt")))
-
-MONOMAP_AVX512 void v5_and_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(a + i, _mm512_and_si512(va, vb));
-  }
-  for (; i < n; ++i) a[i] &= b[i];
-}
-
-MONOMAP_AVX512 void v5_or_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(a + i, _mm512_or_si512(va, vb));
-  }
-  for (; i < n; ++i) a[i] |= b[i];
-}
-
-MONOMAP_AVX512 void v5_and_not_assign(Word* a, const Word* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(a + i, _mm512_andnot_si512(vb, va));
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-MONOMAP_AVX512 Word v5_and_assign_any(Word* a, const Word* b, std::size_t n) {
-  __m512i vany = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    const __m512i vn = _mm512_and_si512(va, vb);
-    _mm512_storeu_si512(a + i, vn);
-    vany = _mm512_or_si512(vany, vn);
-  }
-  Word any = _mm512_reduce_or_epi64(vany);
-  for (; i < n; ++i) any |= (a[i] &= b[i]);
-  return any;
-}
-
-MONOMAP_AVX512 int v5_count(const Word* a, std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_loadu_si512(a + i)));
-  }
-  int c = static_cast<int>(_mm512_reduce_add_epi64(acc));
-  for (; i < n; ++i) c += std::popcount(a[i]);
-  return c;
-}
-
-MONOMAP_AVX512 int v5_intersect_count(const Word* a, const Word* b,
-                                      std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-  }
-  int c = static_cast<int>(_mm512_reduce_add_epi64(acc));
-  for (; i < n; ++i) c += std::popcount(a[i] & b[i]);
-  return c;
-}
-
-MONOMAP_AVX512 bool v5_all_zero(const Word* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    if (_mm512_test_epi64_mask(va, va) != 0) return false;
-  }
-  for (; i < n; ++i) {
-    if (a[i] != 0) return false;
-  }
-  return true;
-}
-
-MONOMAP_AVX512 bool v5_intersects(const Word* a, const Word* b,
-                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(va, vb) != 0) return true;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-MONOMAP_AVX512 bool v5_is_subset_of(const Word* a, const Word* b,
-                                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(va, ~vb) != 0) return false;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
-}
-
-MONOMAP_AVX512 AndPreview v5_and_preview(const Word* a, const Word* b,
-                                         std::size_t n) {
-  AndPreview r{0, 0};
-  __m512i vany = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    const __m512i vn = _mm512_and_si512(va, vb);
-    vany = _mm512_or_si512(vany, vn);
-    const __mmask8 changed = _mm512_cmpneq_epi64_mask(vn, va);
-    r.dirty |= static_cast<Word>(changed) << i;
-  }
-  Word any_tail = _mm512_reduce_or_epi64(vany);
-  for (; i < n; ++i) {
-    const Word next = a[i] & b[i];
-    any_tail |= next;
-    r.dirty |= static_cast<Word>(next != a[i]) << i;
-  }
-  r.any = any_tail;
-  return r;
-}
-
-MONOMAP_AVX512 Word v5_occupancy_mask(const Word* a, std::size_t n) {
-  Word occ = 0;
-  std::size_t tile = 0;
-  std::size_t base = 0;
-  for (; base + kTileWords <= n; base += kTileWords, ++tile) {
-    const __m512i v = _mm512_loadu_si512(a + base);
-    occ |= static_cast<Word>(_mm512_test_epi64_mask(v, v) != 0) << tile;
-  }
-  if (base < n) {
-    Word acc = 0;
-    for (std::size_t i = base; i < n; ++i) acc |= a[i];
-    occ |= static_cast<Word>(acc != 0) << tile;
-  }
-  return occ;
-}
-
-constexpr KernelTable kAvx512Table{
-    v5_and_assign, v5_or_assign,   v5_and_not_assign, v5_and_assign_any,
-    v5_count,      v5_intersect_count, v5_all_zero,   v5_intersects,
-    v5_is_subset_of, v5_and_preview, v5_occupancy_mask, Level::kAvx512,
-};
-
-#endif  // MONOMAP_SIMD_X86
+namespace avx512 {
+constexpr Level kTierLevel = Level::kAvx512;
+#include "support/simd_kernels.inc"
+}  // namespace avx512
+#undef MONOMAP_TIER
+#endif  // MONOMAP_X86
 
 const KernelTable* table_for(Level level) {
-#if MONOMAP_SIMD_X86
+#if MONOMAP_X86
   switch (level) {
-    case Level::kAvx512: return &kAvx512Table;
-    case Level::kAvx2: return &kAvx2Table;
+    case Level::kAvx512: return &avx512::kTable;
+    case Level::kAvx2: return &avx2::kTable;
     case Level::kScalar: break;
   }
 #endif
   (void)level;
-  return &kScalarTable;
+  return &scalar::kTable;
 }
 
 Level probe_best_level() {
-#if MONOMAP_SIMD_X86
+#if MONOMAP_X86
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512vpopcntdq") &&
@@ -570,47 +88,14 @@ Level probe_best_level() {
   return Level::kScalar;
 }
 
-Level clamp_to_supported(Level level) {
-  const Level best = best_supported_level();
-  return static_cast<int>(level) > static_cast<int>(best) ? best : level;
-}
-
-/// Startup level: the best supported one, narrowed by MONOMAP_SIMD.
-/// "off"/"scalar"/"0" force the reference path, "avx2"/"avx512" request a
-/// tier (clamped to what the CPU has), anything else (incl. "auto") keeps
-/// the probe result.
-Level startup_level() {
-  const char* env = std::getenv("MONOMAP_SIMD");
-  if (env == nullptr) return best_supported_level();
-  std::string s(env);
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
-  if (s == "off" || s == "scalar" || s == "0") return Level::kScalar;
-  if (s == "avx2") return clamp_to_supported(Level::kAvx2);
-  if (s == "avx512") return clamp_to_supported(Level::kAvx512);
-  return best_supported_level();
-}
-
 std::atomic<const KernelTable*>& active_table() {
-  static std::atomic<const KernelTable*> table{table_for(startup_level())};
+  static std::atomic<const KernelTable*> table{
+      table_for(best_supported_level())};
   return table;
 }
 
 const KernelTable& kernels() {
   return *active_table().load(std::memory_order_relaxed);
-}
-
-/// Startup tile-skipping setting: on unless MONOMAP_TILES says "off"/"0".
-bool startup_tile_skipping() {
-  const char* env = std::getenv("MONOMAP_TILES");
-  if (env == nullptr) return true;
-  std::string s(env);
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
-  return !(s == "off" || s == "0" || s == "false");
-}
-
-std::atomic<bool>& tile_skipping_flag() {
-  static std::atomic<bool> flag{startup_tile_skipping()};
-  return flag;
 }
 
 }  // namespace
@@ -632,7 +117,9 @@ Level best_supported_level() {
 Level active_level() { return kernels().level; }
 
 Level set_level(Level level) {
-  const Level clamped = clamp_to_supported(level);
+  const Level best = best_supported_level();
+  const Level clamped =
+      static_cast<int>(level) > static_cast<int>(best) ? best : level;
   active_table().store(table_for(clamped), std::memory_order_relaxed);
   return clamped;
 }
@@ -663,25 +150,12 @@ bool is_subset_of(const Word* a, const Word* b, std::size_t n) {
   return kernels().is_subset_of(a, b, n);
 }
 AndPreview and_preview(const Word* a, const Word* b, std::size_t n) {
-  MONOMAP_ASSERT(n <= 64);
   return kernels().and_preview(a, b, n);
-}
-Word occupancy_mask(const Word* a, std::size_t n) {
-  MONOMAP_ASSERT(n <= 64 * static_cast<std::size_t>(kTileWords));
-  return kernels().occupancy_mask(a, n);
 }
 
 HotKernels hot_kernels() {
   const KernelTable& t = kernels();
   return HotKernels{t.and_preview, t.all_zero, t.count};
-}
-
-bool tile_skipping_enabled() {
-  return tile_skipping_flag().load(std::memory_order_relaxed);
-}
-
-bool set_tile_skipping(bool enabled) {
-  return tile_skipping_flag().exchange(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace monomap::simd

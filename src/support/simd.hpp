@@ -2,24 +2,21 @@
 //
 // The space search represents candidate domains as PeSet word arrays. On an
 // 8x8 mesh a domain is one 64-bit word and the searcher's inline loops are
-// already optimal, but production-scale fabrics (32x32-64x64, 1K-4K PEs)
-// make every domain 16-64 words, and intersect/popcount/scan over those
+// already optimal, but production-scale fabrics (20x20 and up, 400-4K PEs)
+// make every domain 7-64 words, and intersect/popcount/scan over those
 // arrays become the hot path. This layer provides the word-array kernels the
-// multi-word regime needs, with three interchangeable implementations:
+// multi-word regime needs. Each kernel is one plain word loop
+// (support/simd_kernels.inc) that the compiler builds into three tiers:
 //
-//   * kScalar — portable 4-way unrolled word loops; the reference semantics
-//     every other path must match bit-for-bit,
-//   * kAvx2   — 256-bit vectors, popcounts via the pshufb nibble-LUT trick,
-//   * kAvx512 — 512-bit vectors with native vpopcntq.
+//   * kScalar — no target attribute; the portable fallback,
+//   * kAvx2   — the same loops under target("avx2,popcnt"),
+//   * kAvx512 — the same loops under target("avx512f,avx512bw,
+//     avx512vpopcntdq,popcnt"), where popcount loops use vpopcntq.
 //
-// The vector paths are compiled with per-function target attributes, so the
-// translation unit (and the whole default build) stays portable; dispatch
-// picks the best level the running CPU supports. Every kernel is exact —
-// the level changes throughput only, never results, which is what lets the
-// scalar and SIMD builds produce bit-identical search traces (pinned by
-// tests). The level can be forced with the MONOMAP_SIMD environment
-// variable ("off"/"scalar", "avx2", "avx512", "auto") or programmatically
-// with set_level() (used by tests and the bench's scalar-vs-SIMD rows).
+// Dispatch picks the best tier the running CPU supports, once at startup.
+// The tiers share one source, so they return the same bits and produce
+// identical search traces (pinned by tests); set_level() forces a tier for
+// the tests and the bench's scalar rows.
 #ifndef MONOMAP_SUPPORT_SIMD_HPP
 #define MONOMAP_SUPPORT_SIMD_HPP
 
@@ -38,18 +35,6 @@ using Word = std::uint64_t;
 /// its 8 tiles and the other 6-7 lines are never loaded.
 inline constexpr int kTileWords = 8;
 
-/// Whether occupancy-directed tile skipping is active (default on; the
-/// MONOMAP_TILES environment variable — "off"/"0" — disables it at
-/// startup). Skipping never changes results or search traces, only which
-/// cache lines get touched; the bench flips it to record the untiled
-/// layout as a comparison row.
-bool tile_skipping_enabled();
-
-/// Enable/disable tile skipping; returns the previous setting. Thread-safe,
-/// but flip it between searches, not during one (the searcher caches the
-/// setting per run).
-bool set_tile_skipping(bool enabled);
-
 /// Kernel implementation tiers, in increasing capability order. Dispatch
 /// never selects a level the CPU cannot execute.
 enum class Level : int {
@@ -63,9 +48,8 @@ const char* level_name(Level level);
 /// Best level the running CPU supports (CPUID probe, cached).
 Level best_supported_level();
 
-/// The level kernels currently dispatch to. Defaults to the best supported
-/// level, unless the MONOMAP_SIMD environment variable narrowed it at
-/// startup.
+/// The level kernels currently dispatch to (the best supported level
+/// unless set_level() chose another).
 Level active_level();
 
 /// Force the dispatch level (clamped to best_supported_level()); returns
@@ -76,8 +60,8 @@ Level set_level(Level level);
 
 /// Result of the fused intersect preview (see and_preview).
 struct AndPreview {
-  /// Bit i set <=> (a[i] & b[i]) != a[i], i.e. word i would change.
-  Word dirty;
+  /// OR of all a[i] & ~b[i]: nonzero <=> a &= b would change a.
+  Word lost;
   /// OR of all a[i] & b[i]: zero <=> the intersection is empty.
   Word any;
 };
@@ -103,23 +87,16 @@ bool all_zero(const Word* a, std::size_t n);
 bool intersects(const Word* a, const Word* b, std::size_t n);
 /// Every bit of a is also set in b.
 bool is_subset_of(const Word* a, const Word* b, std::size_t n);
-/// Non-mutating fused intersect: which words would a &= b change (dirty
-/// mask, so the caller trails and rewrites only those), and is the result
-/// empty. Requires n <= 64 so the dirty mask fits one word; callers with
-/// wider arrays loop in 64-word blocks.
+/// Non-mutating fused intersect: would a &= b change a (so the caller
+/// trails and rewrites only tiles that change), and is the result empty.
 AndPreview and_preview(const Word* a, const Word* b, std::size_t n);
-/// Tile occupancy bitmap: bit t set <=> the t'th kTileWords-word tile of a
-/// holds any set bit. Requires n <= 64 * kTileWords so the bitmap fits one
-/// word; wider sets don't track occupancy (see PeSet).
-Word occupancy_mask(const Word* a, std::size_t n);
-
 /// Resolved function pointers for the kernels the search engine's per-tile
 /// loops call millions of times per run. The free functions above re-read
 /// the dispatch table on every call — negligible for full-span sweeps, but
 /// per 8-word tile the table load and indirection cost as much as the
 /// kernel itself. Fetch once per search (after any set_level()) and call
 /// through the pointers; the resolved level is pinned for the fetch's
-/// lifetime, exactly like the searcher's cached tile-skipping flag.
+/// lifetime.
 struct HotKernels {
   AndPreview (*and_preview)(const Word*, const Word*, std::size_t);
   bool (*all_zero)(const Word*, std::size_t);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -307,10 +308,14 @@ TEST(PeSet, TileOccupancyTracksBulkWordOps) {
   EXPECT_EQ(f.tile_occupancy(), s.tile_occupancy());
   EXPECT_EQ(f.count(), 1);
 
-  // Invariant check: the exact mask is a subset of the tracked one.
-  const PeSet::Word exact =
-      simd::occupancy_mask(s.words().data(), s.words().size());
-  EXPECT_EQ(exact & ~s.tile_occupancy(), PeSet::Word{0});
+  // Invariant check: every tile holding a bit is marked occupied.
+  for (int w = 0; w < s.num_words(); ++w) {
+    if (s.word(w) != 0) {
+      EXPECT_EQ((s.tile_occupancy() >> (w / PeSet::kTileWords)) & 1,
+                PeSet::Word{1})
+          << "word " << w;
+    }
+  }
 }
 
 TEST(Simd, SetLevelClampsToSupport) {
@@ -326,14 +331,16 @@ TEST(Simd, SetLevelClampsToSupport) {
 
 TEST(PeSet, FusedKernelsMatchNaiveCompositionAtEveryLevel) {
   // Property test pinning the bit-identical contract: every fused kernel
-  // (intersect_count, intersect_and_test, intersect_preview, is_subset_of,
+  // (intersect_count, intersect_and_test, and_preview, is_subset_of,
   // intersects) agrees with the naive two-operation composition, and every
   // SIMD level the CPU supports agrees with every other, across capacities
-  // spanning the 1-word fast path, odd tails, and the 64x64-fabric size.
+  // spanning the 1-word fast path, odd tails, the 20x20-fabric size (7
+  // words: one partial tile, where only the kernels' tails run) and the
+  // 64x64-fabric size.
   const simd::Level saved = simd::active_level();
   const int best = static_cast<int>(simd::best_supported_level());
   Rng rng(4242);
-  for (const int cap : {64, 127, 257, 1024, 4096}) {
+  for (const int cap : {64, 127, 257, 400, 1024, 4096}) {
     for (int trial = 0; trial < 8; ++trial) {
       PeSet a(cap);
       PeSet b(cap);
@@ -364,25 +371,28 @@ TEST(PeSet, FusedKernelsMatchNaiveCompositionAtEveryLevel) {
                     u |= b;
                     return u.count();
                   }());
-        // Preview: dirty words are exactly those the intersection changes,
-        // any == 0 iff the intersection is empty.
+        // Preview: lost != 0 iff the intersection changes a word, any == 0
+        // iff the intersection is empty.
         PeSet inter = a;
         ASSERT_EQ(inter.intersect_and_test(b), expect_inter > 0)
             << "level " << lv;
         EXPECT_EQ(inter.count(), expect_inter) << "level " << lv;
-        for (int base = 0; base < a.num_words(); base += 64) {
-          const int n = std::min(64, a.num_words() - base);
-          const simd::AndPreview pv = a.intersect_preview(b, base, n);
-          PeSet::Word expect_dirty = 0;
+        for (int base = 0; base < a.num_words(); base += PeSet::kTileWords) {
+          const int n = std::min(PeSet::kTileWords, a.num_words() - base);
+          const simd::AndPreview pv =
+              simd::and_preview(a.words().data() + base,
+                                b.words().data() + base,
+                                static_cast<std::size_t>(n));
+          bool expect_change = false;
           PeSet::Word expect_any = 0;
           for (int w = 0; w < n; ++w) {
             const PeSet::Word aw = a.word(base + w);
             const PeSet::Word iw = aw & b.word(base + w);
-            if (iw != aw) expect_dirty |= PeSet::Word{1} << w;
+            expect_change |= iw != aw;
             expect_any |= iw;
           }
-          EXPECT_EQ(pv.dirty, expect_dirty) << "level " << lv;
-          EXPECT_EQ(pv.any != 0, expect_any != 0) << "level " << lv;
+          EXPECT_EQ(pv.lost != 0, expect_change) << "level " << lv;
+          EXPECT_EQ(pv.any, expect_any) << "level " << lv;
         }
         // Difference against the bit-loop expectation.
         PeSet diff = a;
@@ -394,11 +404,10 @@ TEST(PeSet, FusedKernelsMatchNaiveCompositionAtEveryLevel) {
   simd::set_level(saved);
 }
 
-TEST(Simd, OccupancyMaskMatchesNaiveAtEveryLevel) {
-  // occupancy_mask is what (re)derives a PeSet's tile bitmap; like every
-  // other kernel it must agree bit-for-bit across SIMD levels, including
-  // partial final tiles. Also pins that the pinned hot_kernels() pointers
-  // resolve to the same level's kernels as the free functions.
+TEST(Simd, HotKernelsMatchFreeFunctionsAtEveryLevel) {
+  // The pinned hot_kernels() pointers must resolve to the same level's
+  // kernels as the free functions, at every level and across partial
+  // final tiles.
   const simd::Level saved = simd::active_level();
   const int best = static_cast<int>(simd::best_supported_level());
   Rng rng(777);
@@ -408,31 +417,26 @@ TEST(Simd, OccupancyMaskMatchesNaiveAtEveryLevel) {
       for (simd::Word& w : a) {
         if (rng.next_below(4) == 0) w = rng.next_u64();
       }
-      simd::Word expect = 0;
-      for (int i = 0; i < n; ++i) {
-        if (a[static_cast<std::size_t>(i)] != 0) {
-          expect |= simd::Word{1} << (i / simd::kTileWords);
-        }
-      }
+      int expect_count = 0;
+      for (const simd::Word w : a) expect_count += std::popcount(w);
       for (int lv = 0; lv <= best; ++lv) {
         simd::set_level(static_cast<simd::Level>(lv));
-        EXPECT_EQ(simd::occupancy_mask(a.data(), a.size()), expect)
-            << "level " << lv << " n " << n;
         const simd::HotKernels hot = simd::hot_kernels();
-        EXPECT_EQ(hot.count(a.data(), a.size()),
-                  simd::count(a.data(), a.size()))
+        EXPECT_EQ(hot.count(a.data(), a.size()), expect_count)
+            << "level " << lv << " n " << n;
+        EXPECT_EQ(simd::count(a.data(), a.size()), expect_count)
             << "level " << lv << " n " << n;
         EXPECT_EQ(hot.all_zero(a.data(), a.size()),
                   simd::all_zero(a.data(), a.size()))
             << "level " << lv << " n " << n;
-        if (n <= 64) {
-          const simd::AndPreview hp =
-              hot.and_preview(a.data(), a.data(), a.size());
-          const simd::AndPreview fp =
-              simd::and_preview(a.data(), a.data(), a.size());
-          EXPECT_EQ(hp.dirty, fp.dirty);
-          EXPECT_EQ(hp.any, fp.any);
-        }
+        EXPECT_EQ(hot.all_zero(a.data(), a.size()), expect_count == 0)
+            << "level " << lv << " n " << n;
+        const simd::AndPreview hp =
+            hot.and_preview(a.data(), a.data(), a.size());
+        const simd::AndPreview fp =
+            simd::and_preview(a.data(), a.data(), a.size());
+        EXPECT_EQ(hp.lost, fp.lost);
+        EXPECT_EQ(hp.any, fp.any);
       }
     }
   }

@@ -97,7 +97,8 @@ def note_outcome_counters(fresh, base):
         base_row = base.get(label)
         # tiles_skipped / domain_bytes_touched are locality telemetry from
         # the tiled domain layout: note-only, never gated — their magnitude
-        # tracks layout policy (and MONOMAP_TILES), not search behaviour.
+        # tracks layout policy (which domain sizes are tiled), not search
+        # behaviour.
         for field in ("outcome", "degraded", "fault_retries", "memory_out",
                       "tiles_skipped", "domain_bytes_touched"):
             if field in row and (base_row is None or field not in base_row):

@@ -8,16 +8,16 @@
 //   monomap_serve --stdio [flags]            (one client; tests, pipes)
 //
 // One MappingService instance backs every connection, so all clients share
-// the fingerprint memo cache and the certificate knowledge store. A
+// the fingerprint memo cache and the certificate knowledge store. Each
+// connection runs on its own thread, up to kMaxConnections at once. A
 // `shutdown` verb (or SIGINT/SIGTERM) drains in-flight requests and exits 0.
 #include <atomic>
 #include <csignal>
 #include <cstring>
 #include <iostream>
-#include <memory>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -29,6 +29,7 @@
 #include "service/service.hpp"
 #include "support/argparse.hpp"
 #include "support/fault.hpp"
+#include "support/outcome.hpp"
 
 namespace {
 
@@ -61,6 +62,10 @@ constexpr int kTickMs = 200;
 /// Longest request line a connection buffers. A client that sends more
 /// without a newline gets a protocol error and is disconnected.
 constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
+
+/// Most connections served at once, one thread each. A connection over the
+/// cap is answered with one admission error line and closed.
+constexpr std::size_t kMaxConnections = 64;
 
 bool stopping(const MappingService* service) {
   return g_stop.load(std::memory_order_acquire) ||
@@ -123,20 +128,54 @@ int serve_stdio(MappingService* service) {
   return 0;
 }
 
+struct Connection {
+  std::thread thread;
+  std::atomic<bool> finished{false};
+};
+
+/// Join every connection whose thread has returned.
+void reap(std::list<Connection>& connections) {
+  for (auto it = connections.begin(); it != connections.end();) {
+    if (it->finished.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 int serve_socket(MappingService* service, int listen_fd,
                  const std::string& unix_path) {
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   while (!stopping(service)) {
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kTickMs);
+    reap(connections);
     if (ready < 0 && errno != EINTR) break;
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
-    connections.emplace_back(serve_connection, service, fd);
+    if (connections.size() >= kMaxConnections) {
+      write_line(fd, "{\"id\":\"\",\"ok\":false,\"outcome\":\"" +
+                         std::string(to_string(MapOutcome::kDeadline)) +
+                         "\",\"exit_code\":" +
+                         std::to_string(exit_code(MapOutcome::kDeadline)) +
+                         ",\"causes\":\"admission: connection limit\","
+                         "\"error\":\"admission: more than " +
+                         std::to_string(kMaxConnections) +
+                         " connections\"}");
+      ::close(fd);
+      continue;
+    }
+    Connection& c = connections.emplace_back();
+    c.thread = std::thread([service, fd, &c] {
+      serve_connection(service, fd);
+      c.finished.store(true, std::memory_order_release);
+    });
   }
   ::close(listen_fd);
-  for (std::thread& t : connections) t.join();
+  for (Connection& c : connections) c.thread.join();
   if (!unix_path.empty()) ::unlink(unix_path.c_str());
   return 0;
 }
