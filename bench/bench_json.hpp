@@ -14,9 +14,9 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "support/parallel.hpp"
 #include "support/simd.hpp"
 
 namespace monomap::bench {
@@ -146,10 +146,11 @@ inline double median(std::vector<double> xs) {
   return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
 }
 
-/// The host facts every BENCH header records: the core count and the SIMD
-/// level the bitset kernels dispatch to.
+/// The host facts every BENCH header records: the cores this process may
+/// use (its affinity mask) and the SIMD level the bitset kernels dispatch
+/// to.
 inline void host_fields(JsonWriter& json) {
-  json.field("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  json.field("nproc", available_cores());
   json.field("simd", simd::level_name(simd::active_level()));
 }
 

@@ -10,7 +10,9 @@
 //    seconds, effort counters per engine), recorded in BENCH_space.json to
 //    track the perf trajectory across PRs. Grid 8 compares the bitset
 //    engine against the scan-based reference and carries the speculative
-//    section (full decoupled solves: single walk vs speculative race);
+//    section (full decoupled solves: map(), which races the IIs above its
+//    frontier on idle cores, vs the one-thread walk; they must agree on ii
+//    and schedules_tried, or the run exits 1);
 //    larger grids (multi-word domains) compare the dispatched SIMD bitset
 //    engine against the same engine pinned to the scalar kernels
 //    ("bitset-scalar"), on suite DFGs plus a scaled synthetic layered DFG
@@ -286,7 +288,8 @@ Prepared prepare_layered(const Dfg& dfg, int width, int ii) {
   return p;
 }
 
-void run_json_mode(const std::vector<int>& grids, int repeats,
+/// Returns false when map() and the one-thread walk disagreed on a row.
+bool run_json_mode(const std::vector<int>& grids, int repeats,
                    const std::vector<std::string>& suite_filter) {
   JsonWriter json(std::cout);
   json.begin_object();
@@ -300,6 +303,8 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   monomap::bench::host_fields(json);
 
   std::vector<double> ref_ratios;  // grid 8: reference / bitset
+  std::vector<double> race_ratios;  // grid 8: one-thread walk / map()
+  bool mismatches = false;
   // Per-grid summary inputs for the multi-word sections.
   std::map<int, std::vector<double>> scalar_ratios;  // scalar / simd
   std::map<int, std::vector<double>> bytes_touched;  // bitset-row bytes
@@ -402,9 +407,11 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   }
   json.end_array();
 
-  // The speculative cross-II race vs the single sequential walk, full
-  // decoupled solves. Grid 8 only: the section tracks the small-fabric
-  // mapper end to end.
+  // map(), which races the IIs above its frontier on idle cores, vs the
+  // one-thread walk (every II in order on the caller), full decoupled
+  // solves. The two must agree on ii and schedules_tried: a mismatch is
+  // reported and fails the run. Grid 8 only: the section tracks the
+  // small-fabric mapper end to end.
   json.key("speculative");
   json.begin_array();
   for (const int grid : grids) {
@@ -415,39 +422,49 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
       DecoupledMapperOptions opt;
       opt.timeout_s = 30.0;
       const DecoupledMapper mapper(opt);
-      std::vector<double> single_s;
-      std::vector<double> speculative_s;
-      MapResult single;
-      MapResult speculative;
+      SpeculativeOptions one_thread;
+      one_thread.num_threads = 1;
+      one_thread.lookahead = 0;
+      std::vector<double> walk_s;
+      std::vector<double> map_s;
+      MapResult walked;
+      MapResult raced;
       for (int r = 0; r < repeats; ++r) {
-        // All sides on the same basis: full wall-clock around the call
-        // (thread spawn/join and validation included).
-        Stopwatch single_wall;
-        single = mapper.map(b.dfg, arch);
-        single_s.push_back(single_wall.elapsed_s());
-        Stopwatch speculative_wall;
-        SpeculativeOptions sopt;
-        sopt.share_nogoods = true;  // throughput flavour; counters active
-        speculative = mapper.map_speculative(b.dfg, arch, sopt);
-        speculative_s.push_back(speculative_wall.elapsed_s());
+        // Full wall clock around each call, in alternating order.
+        for (const bool race_first : {r % 2 == 0, r % 2 != 0}) {
+          Stopwatch wall;
+          if (race_first) {
+            raced = mapper.map(b.dfg, arch);
+            map_s.push_back(wall.elapsed_s());
+          } else {
+            walked = mapper.map_speculative(b.dfg, arch, one_thread);
+            walk_s.push_back(wall.elapsed_s());
+          }
+        }
       }
-      // ii comes from the deterministic single solve: this record is
-      // diffed across PRs, and the warm speculative race's II is not
-      // deterministic (certificate arrival order can move the policy's
-      // give-up points), so only its wall clock and certificate-traffic
-      // counters ride along.
+      if (raced.ii != walked.ii ||
+          raced.schedules_tried != walked.schedules_tried) {
+        std::cerr << "error: " << b.name << " " << grid << "x" << grid
+                  << ": map() ii " << raced.ii << " schedules_tried "
+                  << raced.schedules_tried << ", one-thread walk ii "
+                  << walked.ii << " schedules_tried "
+                  << walked.schedules_tried << "\n";
+        mismatches = true;
+      }
+      const double walk_med = median(walk_s);
+      const double map_med = median(map_s);
+      if (raced.ii > raced.mii.mii() && map_med > 0.0) {
+        race_ratios.push_back(walk_med / map_med);
+      }
       json.begin_object();
       json.field("suite", b.name);
       json.field("grid", grid);
-      json.field("single_success", single.success);
-      json.field("single_s", median(single_s));
-      json.field("speculative_success", speculative.success);
-      json.field("speculative_s", median(speculative_s));
-      json.field("speculative_hits", speculative.speculative_hits);
-      json.field("nogoods_lifted_cross_ii",
-                 speculative.nogoods_lifted_cross_ii);
-      json.field("steals", speculative.steals);
-      json.field("ii", single.success ? single.ii : -1);
+      json.field("success", raced.success);
+      json.field("ii", raced.success ? raced.ii : -1);
+      json.field("mii", raced.mii.mii());
+      json.field("schedules_tried", raced.schedules_tried);
+      json.field("walk_s", walk_med);
+      json.field("map_s", map_med);
       json.end_object();
     }
   }
@@ -456,6 +473,8 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   json.key("summary");
   json.begin_object();
   json.field("median_speedup_reference_over_bitset", median(ref_ratios));
+  // Over the rows that walk past their first II (the others never race).
+  json.field("median_speedup_map_over_walk", median(race_ratios));
   json.key("median_speedup_scalar_over_simd");
   json.begin_object();
   for (const auto& [grid, ratios] : scalar_ratios) {
@@ -471,6 +490,7 @@ void run_json_mode(const std::vector<int>& grids, int repeats,
   json.end_object();
   json.end_object();
   std::cout << '\n';
+  return !mismatches;
 }
 
 std::vector<std::string> split_csv(const char* arg) {
@@ -515,8 +535,7 @@ int main(int argc, char** argv) {
   }
   if (json) {
     if (grids.empty()) grids.push_back(8);
-    run_json_mode(grids, std::max(repeats, 1), suites);
-    return 0;
+    return run_json_mode(grids, std::max(repeats, 1), suites) ? 0 : 1;
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

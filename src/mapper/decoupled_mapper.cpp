@@ -1,14 +1,15 @@
 #include "mapper/decoupled_mapper.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
+#include <condition_variable>
 #include <exception>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "sched/mii.hpp"
 #include "support/fault.hpp"
@@ -79,15 +80,12 @@ std::unique_ptr<ResourceGovernor> make_request_governor(
   return std::make_unique<ResourceGovernor>(memory_budget_mb << 20);
 }
 
-// The II attempts are CPU-bound SAT/search work: workers beyond the
+// The II attempts are CPU-bound SAT/search work: threads beyond the
 // machine's cores only timeslice against each other, turning speculation
 // from free use of spare cores into a tax on the frontier attempt. Treat
-// the requested thread count as a ceiling; on a small machine the race
-// degenerates gracefully toward the sequential walk (queued attempts run
-// frontier-first and a win cancels them before they start).
+// the requested thread count as a ceiling.
 int clamp_pool_threads(int requested) {
-  const int cores =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int cores = available_cores();
   if (requested <= 0) return cores;
   return std::min(requested, cores);
 }
@@ -106,6 +104,19 @@ void drain_pool(WorkStealingPool& pool) {
   }
 }
 
+/// II walks in progress in this process. Each occupies the core its caller
+/// runs on, so the helpers free for a new lookahead window are the helper
+/// pool's workers plus one (the opening walk's own core) minus this count.
+std::atomic<int> g_walks_running{0};
+
+/// Holds one count of g_walks_running for its lifetime.
+struct WalkSlot {
+  WalkSlot() { g_walks_running.fetch_add(1, std::memory_order_relaxed); }
+  ~WalkSlot() { g_walks_running.fetch_sub(1, std::memory_order_relaxed); }
+  WalkSlot(const WalkSlot&) = delete;
+  WalkSlot& operator=(const WalkSlot&) = delete;
+};
+
 }  // namespace
 
 /// The one II walk behind map(), map_warm(), map_speculative() and
@@ -116,13 +127,25 @@ void drain_pool(WorkStealingPool& pool) {
 /// budget, anytime probe and degrade merge, fault retries, governor binding
 /// (docs/robustness.md states the rules).
 ///
-/// Completion-driven: no thread ever blocks waiting for an attempt. Each
-/// attempt's tail resolves it under the mutex, advances the frontier and
-/// launches what the window [frontier, frontier + lookahead] is missing.
-/// With a pool the attempts are its tasks; without one, start() runs them
-/// on the calling thread, one II at a time.
-class DecoupledMapper::IiWalk {
+/// One claim loop runs the attempts. The caller (run()) claims the lowest
+/// unclaimed II of the window [frontier, frontier + window], runs it and
+/// resolves it until the walk is over, and waits when a helper holds every
+/// II in the window. The window stays empty until the walk's first attempt
+/// resolves without a mapping, so a walk that maps there never involves
+/// another thread; then it opens to the walk's lookahead, and helper tasks
+/// on the pool run the same loop, exiting when nothing is left to claim.
+/// A queued helper may start after the walk returned: it owns the walk
+/// through a shared_ptr and reads nothing but the claim state once the
+/// walk is over, and the caller returns only after every attempt a helper
+/// claimed has resolved (the commit cancels them).
+class DecoupledMapper::IiWalk : public std::enable_shared_from_this<IiWalk> {
  public:
+  /// map()'s lookahead: as many IIs as there are free helpers in the
+  /// process-wide helper_pool() when the window opens.
+  static constexpr int kFreeHelpers = -1;
+
+  /// `lookahead` IIs above the frontier run on `pool` (kFreeHelpers: on
+  /// helper_pool(), and `pool` is ignored).
   IiWalk(const DecoupledMapper& mapper, const Dfg& dfg, const CgraArch& arch,
          const Deadline& base, CrossIiNogoodStore* store, int refuted_floor,
          int lookahead, WorkStealingPool* pool)
@@ -132,7 +155,6 @@ class DecoupledMapper::IiWalk {
         arch_(arch),
         base_(base),
         store_(store),
-        pool_(pool),
         gov_(GovernorScope::current()),
         mii_(compute_mii(dfg, arch)),
         ceiling_(opt_.time.max_ii > 0
@@ -140,49 +162,60 @@ class DecoupledMapper::IiWalk {
                      : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),
         // A walk-wide schedule budget makes every attempt's budget depend
         // on the work of the IIs below it, so such walks never speculate.
-        lookahead_(pool != nullptr && opt_.max_schedules <= 0
-                       ? std::max(lookahead, 0)
-                       : 0),
+        lookahead_(opt_.max_schedules > 0 ? 0 : lookahead),
+        pool_(pool),
         walk_top_(ceiling_),
         frontier_(std::max({mii_.mii(), opt_.time.min_ii, refuted_floor + 1})),
         // IIs below mII are refuted by the bound itself; the floor is sound
         // by contract.
         refuted_up_to_(std::max(refuted_floor, mii_.mii() - 1)) {}
 
-  /// Launch the walk (the anytime probe first). Without a pool this runs
-  /// the whole walk before returning.
-  void start() {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
+  /// Run the walk on the calling thread, the anytime probe first. An
+  /// exception that escaped an attempt the sequential walk would have run
+  /// (AssertionError above all) is rethrown here once no helper is left
+  /// in the walk.
+  void run() {
+    const WalkSlot slot;
+    std::unique_lock<std::mutex> lock(m_);
+    try {
       if (opt_.anytime && frontier_ <= ceiling_) {
-        submit_locked([this] {
-          MapResult r =
-              attempt(ceiling_, base_.cancel_token(), /*schedules_spent=*/0);
-          const std::lock_guard<std::mutex> lock(m_);
-          probe_ = std::move(r);
-          if (probe_.success) {
-            best_feasible_ = ceiling_;
-            walk_top_ = ceiling_ - 1;
-          }
-          // A failed probe leaves no safety net: the walk covers the whole
-          // range.
-          advance_locked();
-        });
-      } else {
-        advance_locked();
+        lock.unlock();
+        MapResult r =
+            attempt(ceiling_, base_.cancel_token(), /*schedules_spent=*/0);
+        lock.lock();
+        probe_ = std::move(r);
+        if (probe_.success) {
+          best_feasible_ = ceiling_;
+          walk_top_ = ceiling_ - 1;
+        }
+        // A failed probe leaves no safety net: the walk covers the whole
+        // range.
       }
+      advance_locked();
+      while (!over_locked()) {
+        const int ii = claimable_locked();
+        if (ii >= 0) {
+          run_attempt_locked(lock, ii, /*helper=*/false);
+          continue;
+        }
+        caller_waiting_ = true;
+        cv_.wait(lock,
+                 [this] { return over_locked() || claimable_locked() >= 0; });
+        caller_waiting_ = false;
+      }
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      if (error_ == nullptr) error_ = std::current_exception();
+      cancel_running_locked();
     }
-    while (!inline_.empty()) {  // only filled without a pool
-      const std::function<void()> task = std::move(inline_.front());
-      inline_.pop_front();
-      task();
-    }
+    cv_.wait(lock, [this] { return helpers_running_ == 0; });
+    if (error_ != nullptr) std::rethrow_exception(error_);
   }
 
   /// The committed result, once the walk has run. If a worker failure left
-  /// the walk uncommitted (an attempt's tail never ran), the accumulated
-  /// effort ends the walk classified as a fault instead of asserting —
-  /// batch siblings must not lose their results over it.
+  /// the walk uncommitted (a batch worker dropped its run() task), the
+  /// accumulated effort ends the walk classified as a fault instead of
+  /// asserting — batch siblings must not lose their results over it.
   MapResult take() {
     const std::lock_guard<std::mutex> lock(m_);
     if (!done_) {
@@ -215,20 +248,22 @@ class DecoupledMapper::IiWalk {
     CancelToken token;  // parented to the caller's token, if any
     bool running = true;
     MapResult result;
+    std::exception_ptr error;  // what escaped the attempt, if anything
   };
 
-  void submit_locked(std::function<void()> task) {
-    if (pool_ != nullptr) {
-      pool_->submit(std::move(task));
-    } else {
-      inline_.push_back(std::move(task));
+  /// A helper task: claim-or-skip, for as long as the window has work.
+  void help() {
+    std::unique_lock<std::mutex> lock(m_);
+    --helpers_queued_;
+    for (int ii = claimable_locked(); ii >= 0; ii = claimable_locked()) {
+      run_attempt_locked(lock, ii, /*helper=*/true);
     }
   }
 
   /// One pinned attempt, on whatever thread runs it.
   MapResult attempt(int ii, const CancelToken* token,
                     int schedules_spent) const {
-    // Pool workers are fresh threads: bind the request's governor so the
+    // Helpers are other threads: bind the request's governor so the
     // attempt's solvers charge the shared budget.
     const GovernorScope scope(gov_);
     // The attempt shares the walk's wall budget (remaining as of its start
@@ -266,46 +301,102 @@ class DecoupledMapper::IiWalk {
     }
   }
 
-  void resolve_locked(int ii, Attempt& a, MapResult r) {
+  /// The walk committed, or an attempt it needed threw. m_ held.
+  bool over_locked() const { return done_ || error_ != nullptr; }
+
+  /// Lowest II of the window [frontier, frontier + window] nobody has
+  /// claimed, never above the walk's top or an already-feasible II; -1 when
+  /// there is none or the walk is over. Reads only the claim state. m_ held.
+  int claimable_locked() const {
+    if (over_locked()) return -1;
+    for (int ii = frontier_; ii <= window_top_locked(); ++ii) {
+      if (attempts_.count(ii) == 0) return ii;
+    }
+    return -1;
+  }
+
+  int window_top_locked() const {
+    const int top = std::min(frontier_ + window_, walk_top_);
+    return best_feasible_ >= 0 ? std::min(top, best_feasible_ - 1) : top;
+  }
+
+  /// Claim `ii`, run its attempt with m_ released and resolve it. m_ held
+  /// on entry and on return.
+  void run_attempt_locked(std::unique_lock<std::mutex>& lock, int ii,
+                          bool helper) {
+    // The walk's schedule budget is spent by the IIs below (exact: with a
+    // budget only the frontier runs).
+    const int spent = aggregate_.schedules_tried;
+    Attempt& a = attempts_.try_emplace(ii, base_.cancel_token()).first->second;
+    if (helper) ++helpers_running_;
+    top_up_locked();
+    lock.unlock();
+    MapResult r;
+    std::exception_ptr error;
+    try {
+      r = attempt(ii, &a.token, spent);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (helper) --helpers_running_;
     a.result = std::move(r);
+    a.error = std::move(error);
     a.running = false;
-    if (a.result.success && (best_feasible_ < 0 || ii < best_feasible_)) {
+    if (a.error == nullptr && a.result.success &&
+        (best_feasible_ < 0 || ii < best_feasible_)) {
       best_feasible_ = ii;
       // Larger IIs can no longer win — cancel them; smaller ones keep
       // running, the commit rule still needs their refutations.
       for (auto& [other_ii, other] : attempts_) {
-        if (other_ii > ii && other->running) other->token.cancel();
+        if (other_ii > ii && other.running) other.token.cancel();
       }
     }
     advance_locked();
+    cv_.notify_all();
   }
 
-  // Fill the window [frontier, frontier + lookahead] with running attempts,
-  // never above the walk's top or an already-feasible II. m_ held.
-  void launch_locked() {
-    if (done_) return;
-    int cap = std::min(frontier_ + lookahead_, walk_top_);
-    if (best_feasible_ >= 0) cap = std::min(cap, best_feasible_ - 1);
-    for (int ii = frontier_; ii <= cap; ++ii) {
-      if (attempts_.count(ii) != 0) continue;
-      // The walk's schedule budget is spent by the IIs below (exact: with a
-      // budget only the frontier runs).
-      const int spent = aggregate_.schedules_tried;
-      auto owned = std::make_unique<Attempt>(base_.cancel_token());
-      Attempt* a = owned.get();
-      attempts_.emplace(ii, std::move(owned));
-      submit_locked([this, ii, a, spent] {
-        MapResult r = attempt(ii, &a->token, spent);
-        const std::lock_guard<std::mutex> lock(m_);
-        resolve_locked(ii, *a, std::move(r));
-      });
+  /// Queue helper tasks for the claimable IIs that no queued helper or
+  /// waiting caller is about to take. A task that fails to queue, or that
+  /// the pool drops, leaves its II to the caller. m_ held.
+  void top_up_locked() {
+    if (pool_ == nullptr) return;
+    int unclaimed = 0;
+    for (int ii = frontier_; ii <= window_top_locked(); ++ii) {
+      unclaimed += static_cast<int>(attempts_.count(ii) == 0);
+    }
+    for (int spare = unclaimed - helpers_queued_ - (caller_waiting_ ? 1 : 0);
+         spare > 0; --spare) {
+      try {
+        pool_->submit([self = shared_from_this()] { self->help(); });
+      } catch (...) {
+        return;
+      }
+      ++helpers_queued_;
     }
   }
 
-  // Walk the frontier over resolved attempts, end the walk when its
-  // verdict is final, then refill the launch window. m_ held.
+  /// The first attempt resolved without a mapping and the walk goes on:
+  /// from now on the IIs above the frontier may run on helpers. m_ held.
+  void open_window_locked() {
+    if (window_opened_) return;
+    window_opened_ = true;
+    if (lookahead_ == kFreeHelpers) {
+      pool_ = helper_pool();
+      if (pool_ != nullptr) {
+        window_ = std::max(0, pool_->num_threads() + 1 -
+                                  g_walks_running.load(
+                                      std::memory_order_relaxed));
+      }
+    } else if (pool_ != nullptr) {
+      window_ = std::max(lookahead_, 0);
+    }
+  }
+
+  // Walk the frontier over resolved attempts and end the walk when its
+  // verdict is final. m_ held.
   void advance_locked() {
-    while (!done_) {
+    while (!over_locked()) {
       if (frontier_ > walk_top_) {
         // Nothing to walk: mII (or the floor) is already past the range,
         // or the held probe sits at the start II.
@@ -316,8 +407,14 @@ class DecoupledMapper::IiWalk {
         return;
       }
       const auto it = attempts_.find(frontier_);
-      if (it == attempts_.end() || it->second->running) break;
-      Attempt& a = *it->second;
+      if (it == attempts_.end() || it->second.running) return;
+      Attempt& a = it->second;
+      if (a.error != nullptr) {
+        // The sequential walk would have thrown here too.
+        error_ = a.error;
+        cancel_running_locked();
+        return;
+      }
       if (a.result.success) {
         // Every II below the frontier is resolved — this is THE minimal
         // feasible II of the walk.
@@ -334,6 +431,7 @@ class DecoupledMapper::IiWalk {
         if (frontier_ < walk_top_) {
           merge_attempt_counters(aggregate_, a.result);
           ++frontier_;
+          open_window_locked();
           continue;
         }
       }
@@ -345,7 +443,6 @@ class DecoupledMapper::IiWalk {
       end_walk_locked(std::move(walk));
       return;
     }
-    launch_locked();
   }
 
   // The walk stopped without a feasible frontier, `walk` being its verdict
@@ -361,8 +458,8 @@ class DecoupledMapper::IiWalk {
       return;
     }
     const bool from_probe = probe_.success && best_feasible_ == ceiling_;
-    MapResult held = std::move(
-        from_probe ? probe_ : attempts_.at(best_feasible_)->result);
+    MapResult held =
+        std::move(from_probe ? probe_ : attempts_.at(best_feasible_).result);
     merge_attempt_counters(held, walk);
     if (!from_probe) merge_attempt_counters(held, probe_);
     if (refuted_up_to_ < best_feasible_ - 1) {
@@ -385,11 +482,15 @@ class DecoupledMapper::IiWalk {
     r.sound_refutation =
         r.outcome == MapOutcome::kRefuted && refuted_up_to_ >= ceiling_;
     r.total_s = r.time_phase_s + r.space_phase_s;
-    for (auto& [ii, a] : attempts_) {
-      if (a->running) a->token.cancel();
-    }
+    cancel_running_locked();
     final_ = std::move(r);
     done_ = true;
+  }
+
+  void cancel_running_locked() {
+    for (auto& [ii, a] : attempts_) {
+      if (a.running) a.token.cancel();
+    }
   }
 
   const DecoupledMapper& mapper_;
@@ -398,15 +499,21 @@ class DecoupledMapper::IiWalk {
   const CgraArch& arch_;
   const Deadline& base_;
   CrossIiNogoodStore* const store_;
-  WorkStealingPool* const pool_;
-  ResourceGovernor* const gov_;  // request governor, rebound on each worker
+  ResourceGovernor* const gov_;  // request governor, rebound on each helper
   const MiiBreakdown mii_;       // computed once per walk
   const int ceiling_;            // inclusive II ceiling, the probe's II
-  const int lookahead_;          // IIs kept in flight beyond the frontier
+  const int lookahead_;          // IIs a helper may run beyond the frontier
 
+  // Everything below is the claim state, guarded by m_.
   std::mutex m_;
-  std::deque<std::function<void()>> inline_;  // queued attempts, no pool
-  std::map<int, std::unique_ptr<Attempt>> attempts_;
+  std::condition_variable cv_;  // an attempt resolved
+  WorkStealingPool* pool_;      // where helpers run; null: caller only
+  bool window_opened_ = false;
+  int window_ = 0;  // IIs claimable beyond the frontier
+  std::map<int, Attempt> attempts_;
+  int helpers_queued_ = 0;   // helper tasks queued and not yet started
+  int helpers_running_ = 0;  // attempts a helper claimed, not yet resolved
+  bool caller_waiting_ = false;
   int walk_top_;       // highest II the walk itself visits
   int frontier_;       // lowest unresolved II
   // Largest II such that every II up to it is soundly refuted (heuristic
@@ -421,6 +528,7 @@ class DecoupledMapper::IiWalk {
   MapResult aggregate_;
   MapResult final_;
   bool done_ = false;
+  std::exception_ptr error_;  // rethrown by run() instead of a commit
 };
 
 MapResult DecoupledMapper::map(const Dfg& dfg, const CgraArch& arch) const {
@@ -450,10 +558,15 @@ MapResult DecoupledMapper::map_warm(const Dfg& dfg, const CgraArch& arch,
   const std::unique_ptr<ResourceGovernor> gov =
       make_request_governor(options_.memory_budget_mb);
   const GovernorScope scope(gov.get());
-  IiWalk walk(*this, dfg, arch, deadline, store, std::max(0, refuted_floor),
-              /*lookahead=*/0, /*pool=*/nullptr);
-  walk.start();
-  return walk.take();
+  // Race the IIs above the frontier on idle cores only where that cannot
+  // move the answer: when certificates flow between attempts, or attempts
+  // share a memory budget, what an attempt sees depends on timing.
+  const bool race = store == nullptr && GovernorScope::current() == nullptr;
+  const auto walk = std::make_shared<IiWalk>(
+      *this, dfg, arch, deadline, store, std::max(0, refuted_floor),
+      race ? IiWalk::kFreeHelpers : 0, /*pool=*/nullptr);
+  walk->run();
+  return walk->take();
 }
 
 MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
@@ -771,13 +884,16 @@ MapResult DecoupledMapper::map_speculative(const Dfg& dfg,
   store.set_governor(GovernorScope::current());
   const bool share = spec.share_nogoods &&
                      options_.space.model == MrrgModel::kRegisterPersistence;
-  WorkStealingPool pool(clamp_pool_threads(spec.num_threads));
-  IiWalk walk(*this, dfg, arch, deadline, share ? &store : nullptr,
-              /*refuted_floor=*/0, spec.lookahead, &pool);
-  walk.start();
-  drain_pool(pool);
-  MapResult result = walk.take();
-  result.steals = pool.steals();
+  // The caller runs the frontier: the pool only holds the other threads.
+  const int helpers = clamp_pool_threads(spec.num_threads) - 1;
+  std::optional<WorkStealingPool> pool;
+  if (helpers > 0) pool.emplace(helpers);
+  const auto walk = std::make_shared<IiWalk>(
+      *this, dfg, arch, deadline, share ? &store : nullptr,
+      /*refuted_floor=*/0, spec.lookahead, pool ? &*pool : nullptr);
+  walk->run();
+  MapResult result = walk->take();
+  if (pool) result.steals = pool->steals();
   return result;
 }
 
@@ -801,24 +917,26 @@ std::vector<MapResult> DecoupledMapper::map_batch(
       results[i] = map(*dfgs[i], arch, deadline);
     }
   } else {
-    // Pooled path: every case becomes a walk with lookahead 1 — its per-II
-    // attempts are the pool's tasks. A hard case decomposes into subtasks
-    // the other workers steal, instead of pinning one thread for the whole
-    // batch. No certificate sharing: batch results stay bit-exactly what
-    // the per-case sequential map() would return (see SpeculativeOptions::
-    // share_nogoods for why warm starts can move the committed II).
+    // Pooled path: every case becomes a pool task running a walk with
+    // lookahead 1, whose helpers are tasks on the same pool. A hard case
+    // decomposes into subtasks the other workers steal, instead of pinning
+    // one thread for the whole batch. No certificate sharing: batch results
+    // stay bit-exactly what the per-case sequential map() would return (see
+    // SpeculativeOptions::share_nogoods for why warm starts can move the
+    // committed II).
     const std::unique_ptr<ResourceGovernor> gov =
         make_request_governor(options_.memory_budget_mb);
     const GovernorScope scope(gov.get());
     WorkStealingPool pool(clamp_pool_threads(num_threads));
-    std::deque<IiWalk> walks;  // IiWalk is pinned in place
+    std::vector<std::shared_ptr<IiWalk>> walks;
     for (const Dfg* dfg : dfgs) {
-      walks.emplace_back(*this, *dfg, arch, deadline, nullptr, 0, 1, &pool);
+      walks.push_back(std::make_shared<IiWalk>(*this, *dfg, arch, deadline,
+                                               nullptr, 0, 1, &pool));
+      pool.submit([walk = walks.back()] { walk->run(); });
     }
-    for (IiWalk& walk : walks) walk.start();
     drain_pool(pool);
     for (std::size_t i = 0; i < walks.size(); ++i) {
-      results[i] = walks[i].take();
+      results[i] = walks[i]->take();
     }
     if (stats != nullptr) {
       stats->steals = pool.steals();

@@ -111,10 +111,10 @@ struct DecoupledMapperOptions {
 
 /// Speculative cross-II race configuration (map_speculative).
 struct SpeculativeOptions {
-  /// Worker threads for the II race (<= 0 = hardware concurrency). Always
-  /// clamped to the machine's core count: extra workers would only
-  /// timeslice against the frontier attempt. On a small machine the race
-  /// degenerates gracefully toward the sequential walk.
+  /// Threads for the II race, the calling thread included (<= 0 = the
+  /// available cores). Always clamped to the available cores: extra
+  /// threads would only timeslice against the frontier attempt. With 1 the
+  /// caller walks every II itself.
   int num_threads = 4;
   /// How many IIs beyond the unresolved frontier to keep in flight: with
   /// lookahead 2, while II is still being refuted II+1 and II+2 already
@@ -227,6 +227,14 @@ class DecoupledMapper {
 
   /// Map `dfg` onto `arch`. The returned mapping (on success) always passes
   /// validate_mapping — this is asserted internally.
+  ///
+  /// The calling thread walks the IIs upward. Once the first II fails, the
+  /// IIs above it also run on idle cores: helpers from the process-wide
+  /// helper_pool(), as many as the cores not taken by other walks in
+  /// progress. Each attempt is a pure function of its II and a feasible II
+  /// commits only after every smaller one is refuted, so the answer and the
+  /// effort counters equal the one-thread walk's. Walks with a schedule
+  /// budget (max_schedules) or a memory budget stay on the caller.
   MapResult map(const Dfg& dfg, const CgraArch& arch) const;
 
   /// Like map(), but under an externally supplied deadline (which may carry
@@ -254,7 +262,9 @@ class DecoupledMapper {
   /// harvest. `refuted_floor` must be sound (every II <= floor refuted by
   /// natural exhaustion — the KnowledgeStore only records such floors);
   /// the result's ii_refuted_up_to never exceeds a sound refutation. With
-  /// a null store and floor 0 this is map() exactly.
+  /// a null store this is map() exactly, helpers included; with a store it
+  /// stays on the calling thread, since which certificates an attempt sees
+  /// would otherwise depend on timing.
   MapResult map_warm(const Dfg& dfg, const CgraArch& arch,
                      const Deadline& deadline,
                      CrossIiNogoodStore* store = nullptr,
@@ -290,10 +300,10 @@ class DecoupledMapper {
   /// shared `deadline` — including its CancelToken, so a caller can cut an
   /// entire in-flight batch short. options_.timeout_s is ignored.
   ///
-  /// With num_threads != 1 the batch runs on a work-stealing pool and each
-  /// case is split into per-II subtasks (a lookahead-1 speculative race),
-  /// so one pathological case no longer idles the other cores; with
-  /// num_threads == 1 every case runs the plain sequential map() in order.
+  /// With num_threads != 1 the batch runs on a work-stealing pool: each
+  /// case's walk is a pool task whose lookahead-1 helpers are tasks on the
+  /// same pool, so one pathological case no longer idles the other cores;
+  /// with num_threads == 1 every case runs map() in order.
   /// `stats`, when non-null, receives pool-level telemetry.
   std::vector<MapResult> map_batch(const std::vector<const Dfg*>& dfgs,
                                    const CgraArch& arch,

@@ -1,4 +1,5 @@
-// The work-stealing task pool behind the batch and speculative mappers.
+// The work-stealing task pool behind the II walks' helpers and the batch
+// and speculative mappers.
 //
 // Exceptions matter here: MONOMAP_ASSERT throws a catchable AssertionError
 // by design, but an exception escaping a std::thread body calls
@@ -10,7 +11,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -21,37 +21,51 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "support/fault.hpp"
 
 namespace monomap {
+
+/// The cores this process may run on: its CPU affinity mask where the
+/// platform exposes one (a `taskset`-pinned process sees its pin, which
+/// std::thread::hardware_concurrency() does not report), else the hardware
+/// concurrency. Always >= 1.
+inline int available_cores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return CPU_COUNT(&set);
+  }
+#endif
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 /// A work-stealing task pool. Each worker owns a deque: tasks submitted
 /// from inside a worker go to that worker's own deque, tasks submitted
 /// from outside are dealt round-robin, and an idle worker steals from the
 /// other deques — one pathological task queue no longer idles the rest of
-/// the pool. Tasks may themselves submit further tasks (the speculative
-/// mapper's completion handlers launch the next II attempts this way);
-/// wait_idle() accounts for such nested submissions.
+/// the pool. Tasks may themselves submit further tasks (an II walk's
+/// helpers queue more helpers as its window moves); wait_idle() accounts
+/// for such nested submissions. Idle workers block until a task is queued.
 ///
-/// Both own-pop and steal take the *oldest* task (FIFO): the speculative
-/// mapper submits II attempts frontier-first, and on a loaded pool FIFO
-/// preserves that priority — the II whose verdict gates the commit always
-/// runs before the lookahead gambles behind it. (The classic LIFO own-pop
-/// buys cache locality for fine-grained tasks; these tasks are entire
-/// mapping attempts, milliseconds to seconds each, so ordering matters
-/// and locality does not.)
+/// Both own-pop and steal take the *oldest* task (FIFO): in a batch, the
+/// walks queued first start first. (The classic LIFO own-pop buys cache
+/// locality for fine-grained tasks; these tasks are entire mapping
+/// attempts, milliseconds to seconds each, so ordering matters and
+/// locality does not.)
 ///
 /// Deques are mutex-guarded rather than lock-free: at this task
 /// granularity queue overhead is irrelevant and the simple locking is
 /// trivially clean under ThreadSanitizer.
 class WorkStealingPool {
  public:
-  /// Spawn `num_threads` workers (<= 0 = hardware concurrency).
+  /// Spawn `num_threads` workers (<= 0 = available_cores()).
   explicit WorkStealingPool(int num_threads) {
-    if (num_threads <= 0) {
-      num_threads =
-          std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-    }
+    if (num_threads <= 0) num_threads = available_cores();
     queues_.resize(static_cast<std::size_t>(num_threads));
     for (auto& q : queues_) q = std::make_unique<Queue>();
     workers_.reserve(static_cast<std::size_t>(num_threads));
@@ -78,6 +92,7 @@ class WorkStealingPool {
 
   /// Enqueue a task. Runnable from any thread, including pool workers.
   void submit(std::function<void()> task) {
+    submitted_.fetch_add(1, std::memory_order_relaxed);
     pending_.fetch_add(1, std::memory_order_relaxed);
     const int self = current_worker_index();
     const std::size_t target =
@@ -98,7 +113,7 @@ class WorkStealingPool {
       }
       throw;
     }
-    work_cv_.notify_one();
+    announce_queued();
   }
 
   /// Block until every submitted task (including tasks submitted by tasks)
@@ -127,6 +142,11 @@ class WorkStealingPool {
     }
   }
 
+  /// Tasks submitted since construction.
+  [[nodiscard]] std::uint64_t submitted() const {
+    return submitted_.load(std::memory_order_relaxed);
+  }
+
   /// Tasks taken from another worker's deque since construction.
   [[nodiscard]] std::uint64_t steals() const {
     return steals_.load(std::memory_order_relaxed);
@@ -144,6 +164,21 @@ class WorkStealingPool {
     std::deque<std::function<void()>> q;
   };
 
+  // A task was just pushed onto a deque: count it and wake one sleeper.
+  void announce_queued() {
+    {
+      const std::lock_guard<std::mutex> lock(sleep_m_);
+      ++queued_;
+    }
+    work_cv_.notify_one();
+  }
+
+  // A task was just popped off a deque.
+  void note_popped() {
+    const std::lock_guard<std::mutex> lock(sleep_m_);
+    --queued_;
+  }
+
   // Worker index of the calling thread in *this* pool, -1 for outsiders.
   [[nodiscard]] int current_worker_index() const {
     return tls_pool == this ? tls_worker : -1;
@@ -157,6 +192,7 @@ class WorkStealingPool {
       if (!own.q.empty()) {
         *task = std::move(own.q.front());
         own.q.pop_front();
+        note_popped();
         return true;
       }
     }
@@ -169,6 +205,7 @@ class WorkStealingPool {
       if (!victim.q.empty()) {
         *task = std::move(victim.q.front());
         victim.q.pop_front();
+        note_popped();
         steals_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -205,7 +242,7 @@ class WorkStealingPool {
         }
         if (requeued) {
           task = nullptr;
-          work_cv_.notify_one();
+          announce_queued();
           continue;  // pending_ untouched: the task is still outstanding
         }
         if (task) {
@@ -225,11 +262,12 @@ class WorkStealingPool {
         }
         continue;
       }
+      // Sleep until a task is queued: a push counts itself under sleep_m_
+      // before notifying, so no wake-up is lost between the failed pop
+      // and the wait, and an idle worker costs nothing.
       std::unique_lock<std::mutex> lock(sleep_m_);
-      if (stop_) return;
-      // Re-check for work racing with the notify, then sleep briefly; the
-      // timeout bounds the lost-wakeup window without a seqlock.
-      work_cv_.wait_for(lock, std::chrono::milliseconds(1));
+      work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
+      if (stop_ && queued_ <= 0) return;
     }
   }
 
@@ -244,10 +282,14 @@ class WorkStealingPool {
   std::vector<std::thread> workers_;
   std::atomic<std::size_t> next_external_{0};
   std::atomic<int> pending_{0};
+  std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> fault_requeues_{0};
   std::mutex sleep_m_;
   std::condition_variable work_cv_;
+  // Tasks sitting in the deques, guarded by sleep_m_. A pop can be counted
+  // before the push it took, so the count may dip below zero for a moment.
+  int queued_ = 0;
   bool stop_ = false;  // guarded by sleep_m_
   std::mutex idle_m_;
   std::condition_variable idle_cv_;
@@ -258,6 +300,19 @@ class WorkStealingPool {
 inline thread_local const WorkStealingPool* WorkStealingPool::tls_pool =
     nullptr;
 inline thread_local int WorkStealingPool::tls_worker = -1;
+
+/// The process-wide pool whose workers race II walks' lookahead attempts
+/// (DecoupledMapper::map): one worker per available core but the caller's,
+/// created on the first call and never destroyed (idle workers block, and
+/// no walk leaves a claimed attempt in it past its own return). Null on a
+/// single core.
+inline WorkStealingPool* helper_pool() {
+  static WorkStealingPool* const pool = [] {
+    const int cores = available_cores();
+    return cores > 1 ? new WorkStealingPool(cores - 1) : nullptr;
+  }();
+  return pool;
+}
 
 }  // namespace monomap
 

@@ -533,6 +533,29 @@ TEST(FaultSweep, SpeculativeSurvivesPermanentFaults) {
   EXPECT_EQ(r.outcome, MapOutcome::kFault);
 }
 
+TEST(FaultSweep, HelperPoolWorkerFaultsLeaveMapSequential) {
+  // hotspot3D 4x4 fails its first II, so map() opens its lookahead window
+  // and queues helper tasks; with every helper pickup faulting (requeued,
+  // then dropped once the pool's requeue budget is spent) the caller must
+  // still claim and run every II itself and end where the one-thread walk
+  // ends.
+  const Benchmark& b = benchmark_by_name("hotspot3D");
+  const CgraArch arch = CgraArch::square(4);
+  SpeculativeOptions one_thread;
+  one_thread.num_threads = 1;
+  one_thread.lookahead = 0;
+  const MapResult walked =
+      DecoupledMapper(base_options()).map_speculative(b.dfg, arch, one_thread);
+  ASSERT_TRUE(walked.success) << walked.failure_reason;
+  ASSERT_GT(walked.ii, walked.mii.mii());
+  const FaultGuard guard;
+  install_spec("pool.worker=throw@1");
+  const MapResult r = DecoupledMapper(base_options()).map(b.dfg, arch);
+  EXPECT_EQ(r.outcome, walked.outcome) << r.failure_reason;
+  EXPECT_EQ(r.ii, walked.ii);
+  EXPECT_EQ(r.schedules_tried, walked.schedules_tried);
+}
+
 TEST(FaultSweep, BatchCompletesEveryCaseUnderWorkerFaults) {
   const FaultGuard guard;
   install_spec("pool.worker=throw@2:5");

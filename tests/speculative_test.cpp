@@ -10,12 +10,15 @@
 // cancellation plumbing (run these under ThreadSanitizer via
 // -DMONOMAP_TSAN=ON to check the pool and store synchronisation).
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mapper/cross_ii_store.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "support/parallel.hpp"
 #include "workloads/suite.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -101,6 +104,67 @@ TEST(SpeculativeMapper, ZeroLookaheadStillMatches) {
   EXPECT_EQ(seq.time_stats.sat_calls, r.time_stats.sat_calls);
   EXPECT_EQ(seq.space_truncated, r.space_truncated);
   EXPECT_EQ(seq.ii_lo, r.ii_lo);
+}
+
+/// map() races the IIs above the frontier on the process-wide helper pool
+/// once its first II fails; the answer and the effort counters must still
+/// equal the one-thread walk's, which runs every II on the caller in
+/// order. Two callers map at once, so their walks share the helpers.
+TEST(SpeculativeMapper, MapEqualsOneThreadZeroLookaheadWalk) {
+  struct Case {
+    std::string name;
+    int side;
+    MapResult raced;
+    MapResult walked;
+  };
+  std::vector<Case> cases;
+  for (const char* name : {"cfd", "hotspot3D", "nw", "lud"}) {
+    for (const int side : {4, 5, 8}) cases.push_back({name, side, {}, {}});
+  }
+  cases.push_back({"cfd", 20, {}, {}});
+  const DecoupledMapper mapper(fast_options());
+  SpeculativeOptions one_thread;
+  one_thread.num_threads = 1;
+  one_thread.lookahead = 0;
+  auto caller = [&](std::size_t first) {
+    for (std::size_t i = first; i < cases.size(); i += 2) {
+      Case& c = cases[i];
+      const Dfg& dfg = benchmark_by_name(c.name).dfg;
+      const CgraArch arch = CgraArch::square(c.side);
+      c.raced = mapper.map(dfg, arch);
+      c.walked = mapper.map_speculative(dfg, arch, one_thread);
+    }
+  };
+  std::thread second(caller, 1);
+  caller(0);
+  second.join();
+  for (const Case& c : cases) {
+    const std::string where = c.name + " " + std::to_string(c.side);
+    EXPECT_EQ(c.raced.outcome, c.walked.outcome) << where;
+    EXPECT_EQ(c.raced.ii, c.walked.ii) << where;
+    EXPECT_EQ(c.raced.ii_lo, c.walked.ii_lo) << where;
+    EXPECT_EQ(c.raced.schedules_tried, c.walked.schedules_tried) << where;
+    EXPECT_EQ(c.raced.space_truncated, c.walked.space_truncated) << where;
+    EXPECT_EQ(c.raced.time_stats.sat_calls, c.walked.time_stats.sat_calls)
+        << where;
+  }
+}
+
+/// A walk that maps at its first II never opens its lookahead window:
+/// nothing reaches the helper pool.
+TEST(SpeculativeMapper, FirstIiMappingSubmitsNoHelper) {
+  WorkStealingPool* helpers = helper_pool();
+  if (helpers == nullptr) GTEST_SKIP() << "single core: no helper pool";
+  const DecoupledMapper mapper(fast_options());
+  const CgraArch arch = CgraArch::square(8);
+  for (const char* name : {"bitcount", "fft"}) {
+    const Dfg& dfg = benchmark_by_name(name).dfg;
+    const std::uint64_t before = helpers->submitted();
+    const MapResult r = mapper.map(dfg, arch);
+    ASSERT_TRUE(r.success) << name << ": " << r.failure_reason;
+    EXPECT_EQ(r.ii, r.mii.mii()) << name << " no longer maps at mII";
+    EXPECT_EQ(helpers->submitted(), before) << name;
+  }
 }
 
 /// map_at_ii is the exact per-II policy of map(): pinned below the

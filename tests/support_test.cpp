@@ -4,9 +4,15 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -529,6 +535,51 @@ TEST(WorkStealingPool, RethrowsFirstTaskExceptionFromWaitIdle) {
   pool.submit([&survivors] { survivors.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(survivors.load(), 9);
+}
+
+TEST(WorkStealingPool, IdleWorkersWakeForLateTasksAndJoinPromptly) {
+  std::atomic<int> ran{0};
+  const auto start = std::chrono::steady_clock::now();
+  {
+    WorkStealingPool pool(3);
+    // Every worker has gone to sleep by now: a late task must wake one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    pool.submit([&ran] { ran.fetch_add(1); });
+    pool.wait_idle();
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_EQ(pool.submitted(), 1u);
+  }  // the destructor wakes the sleeping workers and joins them
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_LT(elapsed_s, 1.0);
+}
+
+TEST(AvailableCores, FollowsTheAffinityMask) {
+  const int cores = available_cores();
+  EXPECT_GE(cores, 1);
+  const unsigned hardware = std::thread::hardware_concurrency();
+  if (hardware > 0) {
+    EXPECT_LE(cores, static_cast<int>(hardware));
+  }
+#if defined(__linux__)
+  // Pin a scratch thread (never this one) to one of its CPUs: it must see
+  // exactly one core, whatever the hardware concurrency says.
+  int pinned = 0;
+  std::thread probe([&pinned] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+    int first = 0;
+    while (!CPU_ISSET(first, &set)) ++first;
+    CPU_ZERO(&set);
+    CPU_SET(first, &set);
+    if (sched_setaffinity(0, sizeof(set), &set) != 0) return;
+    pinned = available_cores();
+  });
+  probe.join();
+  EXPECT_EQ(pinned, 1);
+#endif
 }
 
 TEST(Log, ParseLevels) {

@@ -42,7 +42,10 @@ void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 [[noreturn]] void usage() {
   std::cerr <<
       "usage: monomap_serve (--unix PATH | --port N | --stdio)\n"
-      "  [--threads N]          mapper worker threads (default 1)\n"
+      "  [--threads N]          mapper worker threads (default 1); cold\n"
+      "                         walks race IIs on the cores the workers\n"
+      "                         leave idle, so workers and helpers share\n"
+      "                         the cores\n"
       "  [--queue-limit N]      admission bound, 0 = unbounded (default 16)\n"
       "  [--deadline S]         default per-request deadline (default 30)\n"
       "  [--no-memo]            disable the fingerprint memo cache\n"
