@@ -33,6 +33,7 @@
 
 #include "bench_json.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "mapper/decoupled_mapper_test_peer.hpp"
 #include "space/monomorphism.hpp"
 #include "support/simd.hpp"
 #include "timing/time_solver.hpp"
@@ -422,9 +423,6 @@ bool run_json_mode(const std::vector<int>& grids, int repeats,
       DecoupledMapperOptions opt;
       opt.timeout_s = 30.0;
       const DecoupledMapper mapper(opt);
-      SpeculativeOptions one_thread;
-      one_thread.num_threads = 1;
-      one_thread.lookahead = 0;
       std::vector<double> walk_s;
       std::vector<double> map_s;
       MapResult walked;
@@ -437,7 +435,8 @@ bool run_json_mode(const std::vector<int>& grids, int repeats,
             raced = mapper.map(b.dfg, arch);
             map_s.push_back(wall.elapsed_s());
           } else {
-            walked = mapper.map_speculative(b.dfg, arch, one_thread);
+            walked = DecoupledMapperTestPeer::map_one_thread(mapper, b.dfg,
+                                                             arch);
             walk_s.push_back(wall.elapsed_s());
           }
         }

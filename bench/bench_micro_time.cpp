@@ -1,17 +1,15 @@
-// Micro-benchmark A7: time-phase engine comparison.
+// Micro-benchmark A7: the time phase.
 //
 // Two modes:
-//  * default — google-benchmark timings of the incremental vs reference
-//    time engines on representative solves (single-shot and
+//  * default — google-benchmark timings of the incremental time engine on
+//    representative solves (single-shot, enumeration and
 //    horizon-extension-heavy cases);
 //  * --json [--grid N] [--repeats R] — machine-readable end-to-end map()
-//    wall-clock comparison over the whole workload suite per engine, plus
-//    the per-II solver-reuse counters (sessions, horizon extensions,
-//    assumptions used, learnt clauses retained, nogoods added), recorded in
-//    BENCH_time.json to track the time-phase perf trajectory across PRs.
-//    The "hard" section additionally records engine="speculative" rows —
-//    the cross-II race (map_speculative) with its certificate-traffic
-//    counters (speculative_hits, nogoods_lifted_cross_ii, steals).
+//    wall clock over the whole workload suite, plus the per-II
+//    solver-reuse counters (sessions, horizon extensions, assumptions
+//    used, learnt clauses retained, nogoods added), recorded in
+//    BENCH_time.json to track the time-phase perf trajectory. Rows keep
+//    engine="incremental" so they pair with earlier recordings.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -29,35 +27,25 @@ using namespace monomap;
 using monomap::bench::JsonWriter;
 using monomap::bench::median;
 
-TimeSolverOptions engine_options(TimeEngine engine) {
-  TimeSolverOptions opt;
-  opt.engine = engine;
-  return opt;
-}
-
 void BM_TimeFirstSolution(benchmark::State& state) {
-  // First schedule of a mid-size suite benchmark (Arg 0: engine).
+  // First schedule of a mid-size suite benchmark.
   const CgraArch arch = CgraArch::square(8);
   const Benchmark& b = benchmark_by_name("fft");
-  const TimeEngine engine = state.range(0) == 0 ? TimeEngine::kIncremental
-                                                : TimeEngine::kReference;
   for (auto _ : state) {
-    TimeSolver solver(b.dfg, arch, engine_options(engine));
+    TimeSolver solver(b.dfg, arch);
     const auto sol = solver.next(Deadline(30.0));
     benchmark::DoNotOptimize(sol.has_value());
   }
 }
-BENCHMARK(BM_TimeFirstSolution)->Arg(0)->Arg(1);
+BENCHMARK(BM_TimeFirstSolution);
 
 void BM_TimeScheduleEnumeration(benchmark::State& state) {
-  // The mapper's retry pattern: enumerate 8 distinct schedules (Arg 0:
-  // engine). The incremental engine answers re-solves from a warm solver.
+  // The mapper's retry pattern: enumerate 8 distinct schedules, each
+  // re-solve answered from the warm session.
   const CgraArch arch = CgraArch::square(8);
   const Benchmark& b = benchmark_by_name("gsm");
-  const TimeEngine engine = state.range(0) == 0 ? TimeEngine::kIncremental
-                                                : TimeEngine::kReference;
   for (auto _ : state) {
-    TimeSolver solver(b.dfg, arch, engine_options(engine));
+    TimeSolver solver(b.dfg, arch);
     int yielded = 0;
     while (yielded < 8 && solver.next(Deadline(30.0)).has_value()) {
       ++yielded;
@@ -65,29 +53,27 @@ void BM_TimeScheduleEnumeration(benchmark::State& state) {
     benchmark::DoNotOptimize(yielded);
   }
 }
-BENCHMARK(BM_TimeScheduleEnumeration)->Arg(0)->Arg(1);
+BENCHMARK(BM_TimeScheduleEnumeration);
 
 void BM_TimeHorizonExtensions(benchmark::State& state) {
   // Capacity-bound chain on one PE: the solver must walk several horizon
-  // extensions before the first schedule appears (Arg 0: engine).
+  // extensions before the first schedule appears.
   const Dfg dfg = Dfg::from_edges(
       "chain6", 6,
       {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {0, 4, 0}, {1, 5, 0}});
   const CgraArch arch(1, 1);
-  const TimeEngine engine = state.range(0) == 0 ? TimeEngine::kIncremental
-                                                : TimeEngine::kReference;
   for (auto _ : state) {
-    TimeSolver solver(dfg, arch, engine_options(engine));
+    TimeSolver solver(dfg, arch);
     const auto sol = solver.next(Deadline(30.0));
     benchmark::DoNotOptimize(sol.has_value());
   }
 }
-BENCHMARK(BM_TimeHorizonExtensions)->Arg(0)->Arg(1);
+BENCHMARK(BM_TimeHorizonExtensions);
 
 // --- --json mode -----------------------------------------------------------
 
-/// Per-(benchmark, engine) record: median-of-repeats end-to-end map() wall
-/// clock plus the solver-reuse counters of the last run.
+/// Per-benchmark record: median-of-repeats end-to-end map() wall clock plus
+/// the solver-reuse counters of the last run.
 void run_json_mode(int grid, int repeats) {
   const CgraArch arch = CgraArch::square(grid);
   JsonWriter json(std::cout);
@@ -98,59 +84,64 @@ void run_json_mode(int grid, int repeats) {
   json.field("repeats", repeats);
   monomap::bench::host_fields(json);
 
-  std::vector<double> ratios;
+  /// Median-of-repeats map() wall clock on `run_arch`, and the last run.
+  auto timed_map = [repeats](const Dfg& dfg, const CgraArch& run_arch,
+                             double timeout_s, MapResult* last) {
+    DecoupledMapperOptions opt;
+    opt.timeout_s = timeout_s;
+    const DecoupledMapper mapper(opt);
+    std::vector<double> seconds;
+    for (int r = 0; r < repeats; ++r) {
+      Stopwatch wall;
+      *last = mapper.map(dfg, run_arch);
+      seconds.push_back(wall.elapsed_s());
+    }
+    return median(seconds);
+  };
+  /// The fields every row carries (`grid` only on the per-row-grid
+  /// "hard" rows).
+  auto row_head = [&json](const Benchmark& b, int grid_side,
+                          const MapResult& last, double seconds) {
+    json.begin_object();
+    json.field("suite", b.name);
+    if (grid_side > 0) json.field("grid", grid_side);
+    json.field("engine", "incremental");
+    json.field("success", last.success);
+    json.field("outcome", to_string(last.outcome));
+    json.field("degraded", last.outcome == MapOutcome::kDegraded);
+    json.field("fault_retries", last.fault_retries);
+    json.field("ii", last.success ? last.ii : -1);
+    json.field("seconds", seconds);
+  };
+  auto row_tail = [&json](const MapResult& last) {
+    json.field("space_truncated", last.space_truncated);
+    json.field("space_exhausted", last.space_exhausted);
+    json.field("space_backjumps", last.space_backjumps);
+    json.field("budget_extensions", last.budget_extensions);
+    json.field("budget_shrinks", last.budget_shrinks);
+    json.end_object();
+  };
+
   json.key("time");
   json.begin_array();
   for (const Benchmark& b : benchmark_suite()) {
-    double incremental_median = 0.0;
-    for (const TimeEngine engine :
-         {TimeEngine::kIncremental, TimeEngine::kReference}) {
-      DecoupledMapperOptions opt;
-      opt.timeout_s = 60.0;
-      opt.time.engine = engine;
-      const DecoupledMapper mapper(opt);
-      std::vector<double> seconds;
-      MapResult last;
-      for (int r = 0; r < repeats; ++r) {
-        Stopwatch wall;
-        last = mapper.map(b.dfg, arch);
-        seconds.push_back(wall.elapsed_s());
-      }
-      const double med = median(seconds);
-      if (engine == TimeEngine::kIncremental) {
-        incremental_median = med;
-      } else if (incremental_median > 0.0) {
-        ratios.push_back(med / incremental_median);
-      }
-      json.begin_object();
-      json.field("suite", b.name);
-      json.field("engine", to_string(engine));
-      json.field("success", last.success);
-      json.field("outcome", to_string(last.outcome));
-      json.field("degraded", last.outcome == MapOutcome::kDegraded);
-      json.field("fault_retries", last.fault_retries);
-      json.field("ii", last.success ? last.ii : -1);
-      json.field("seconds", med);
-      json.field("time_phase_s", last.time_phase_s);
-      json.field("space_phase_s", last.space_phase_s);
-      json.field("schedules_tried", last.schedules_tried);
-      json.field("sat_calls", last.time_stats.sat_calls);
-      json.field("instances_built", last.time_stats.instances_built);
-      json.field("sessions_created", last.time_stats.sessions_created);
-      json.field("horizon_extensions", last.time_stats.horizon_extensions);
-      json.field("assumptions_used", last.time_stats.assumptions_used);
-      json.field("learnt_retained", last.time_stats.learnt_retained);
-      json.field("nogoods_added", last.time_stats.nogoods_added);
-      json.field("narrow_nogoods", last.time_stats.narrow_nogoods);
-      json.field("nogoods_lifted", last.time_stats.nogoods_lifted);
-      json.field("nogoods_deduped", last.time_stats.nogoods_deduped);
-      json.field("space_truncated", last.space_truncated);
-      json.field("space_exhausted", last.space_exhausted);
-      json.field("space_backjumps", last.space_backjumps);
-      json.field("budget_extensions", last.budget_extensions);
-      json.field("budget_shrinks", last.budget_shrinks);
-      json.end_object();
-    }
+    MapResult last;
+    const double seconds = timed_map(b.dfg, arch, 60.0, &last);
+    row_head(b, /*grid_side=*/0, last, seconds);
+    json.field("time_phase_s", last.time_phase_s);
+    json.field("space_phase_s", last.space_phase_s);
+    json.field("schedules_tried", last.schedules_tried);
+    json.field("sat_calls", last.time_stats.sat_calls);
+    json.field("instances_built", last.time_stats.instances_built);
+    json.field("sessions_created", last.time_stats.sessions_created);
+    json.field("horizon_extensions", last.time_stats.horizon_extensions);
+    json.field("assumptions_used", last.time_stats.assumptions_used);
+    json.field("learnt_retained", last.time_stats.learnt_retained);
+    json.field("nogoods_added", last.time_stats.nogoods_added);
+    json.field("narrow_nogoods", last.time_stats.narrow_nogoods);
+    json.field("nogoods_lifted", last.time_stats.nogoods_lifted);
+    json.field("nogoods_deduped", last.time_stats.nogoods_deduped);
+    row_tail(last);
   }
   json.end_array();
 
@@ -158,100 +149,23 @@ void run_json_mode(int grid, int repeats) {
   // where schedule seeding, retry diversification, conflict-set nogoods
   // and the adaptive space budget are decisive, so the baseline pins them
   // explicitly (nw rides along for its II-3-vs-4 sensitivity to the
-  // refutation-patience rule). Grid 8 rides along for the cross-II
-  // certificate channel: its mII refutations are where the warm rows
-  // harvest certificates. Each case also records the cross-II race on 4
-  // workers (clamped to the machine's cores): engine="speculative" is
-  // the default cold race, which lands on the incremental rows' final II
-  // bit-exactly, and engine="speculative-warm" shares certificates
-  // (SpeculativeOptions::share_nogoods — may settle a different II on
-  // borderline cases); the certificate-traffic counters ride on the warm
-  // rows.
+  // refutation-patience rule). Grid 8 rides along for map()'s cross-II
+  // race: there the first II fails and the IIs above it run on helpers.
   json.key("hard");
   json.begin_array();
   for (const char* name : {"hotspot3D", "cfd", "nw"}) {
     const Benchmark& b = benchmark_by_name(name);
     for (const int side : {4, 5, 8}) {
-      const CgraArch hard_arch = CgraArch::square(side);
-      for (const TimeEngine engine :
-           {TimeEngine::kIncremental, TimeEngine::kReference}) {
-        DecoupledMapperOptions opt;
-        opt.timeout_s = 120.0;
-        opt.time.engine = engine;
-        const DecoupledMapper mapper(opt);
-        std::vector<double> seconds;
-        MapResult last;
-        for (int r = 0; r < repeats; ++r) {
-          Stopwatch wall;
-          last = mapper.map(b.dfg, hard_arch);
-          seconds.push_back(wall.elapsed_s());
-        }
-        json.begin_object();
-        json.field("suite", b.name);
-        json.field("grid", side);
-        json.field("engine", to_string(engine));
-        json.field("success", last.success);
-        json.field("outcome", to_string(last.outcome));
-        json.field("degraded", last.outcome == MapOutcome::kDegraded);
-        json.field("fault_retries", last.fault_retries);
-        json.field("ii", last.success ? last.ii : -1);
-        json.field("seconds", median(seconds));
-        json.field("schedules_tried", last.schedules_tried);
-        json.field("nogoods_added", last.time_stats.nogoods_added);
-        json.field("space_truncated", last.space_truncated);
-        json.field("space_exhausted", last.space_exhausted);
-        json.field("space_backjumps", last.space_backjumps);
-        json.field("budget_extensions", last.budget_extensions);
-        json.field("budget_shrinks", last.budget_shrinks);
-        json.end_object();
-      }
-      for (const bool warm : {false, true}) {
-        DecoupledMapperOptions opt;
-        opt.timeout_s = 120.0;
-        const DecoupledMapper mapper(opt);
-        SpeculativeOptions sopt;
-        sopt.num_threads = 4;
-        sopt.share_nogoods = warm;
-        std::vector<double> seconds;
-        MapResult last;
-        for (int r = 0; r < repeats; ++r) {
-          Stopwatch wall;
-          last = mapper.map_speculative(b.dfg, hard_arch, sopt);
-          seconds.push_back(wall.elapsed_s());
-        }
-        json.begin_object();
-        json.field("suite", b.name);
-        json.field("grid", side);
-        json.field("engine", warm ? "speculative-warm" : "speculative");
-        json.field("success", last.success);
-        json.field("outcome", to_string(last.outcome));
-        json.field("degraded", last.outcome == MapOutcome::kDegraded);
-        json.field("fault_retries", last.fault_retries);
-        json.field("ii", last.success ? last.ii : -1);
-        json.field("seconds", median(seconds));
-        json.field("schedules_tried", last.schedules_tried);
-        json.field("nogoods_added", last.time_stats.nogoods_added);
-        if (warm) {
-          json.field("speculative_hits", last.speculative_hits);
-          json.field("nogoods_lifted_cross_ii",
-                     last.nogoods_lifted_cross_ii);
-          json.field("steals", last.steals);
-        }
-        json.field("space_truncated", last.space_truncated);
-        json.field("space_exhausted", last.space_exhausted);
-        json.field("space_backjumps", last.space_backjumps);
-        json.field("budget_extensions", last.budget_extensions);
-        json.field("budget_shrinks", last.budget_shrinks);
-        json.end_object();
-      }
+      MapResult last;
+      const double seconds =
+          timed_map(b.dfg, CgraArch::square(side), 120.0, &last);
+      row_head(b, side, last, seconds);
+      json.field("schedules_tried", last.schedules_tried);
+      json.field("nogoods_added", last.time_stats.nogoods_added);
+      row_tail(last);
     }
   }
   json.end_array();
-
-  json.key("summary");
-  json.begin_object();
-  json.field("median_speedup_reference_over_incremental", median(ratios));
-  json.end_object();
   json.end_object();
   std::cout << '\n';
 }

@@ -126,6 +126,7 @@ int main(int argc, char** argv) {
         json.field("time_nogoods_added", mono.time_stats.nogoods_added);
         json.field("time_narrow_nogoods", mono.time_stats.narrow_nogoods);
         json.field("baseline_success", !base_to);
+        json.field("baseline_ii", base_to ? -1 : base.ii);
         json.field("baseline_s", base.total_s);
         json.field("ii", mono_to ? -1 : mono.ii);
         json.field("mii", mono.mii.mii());

@@ -1,5 +1,6 @@
 // Cross-II nogood store: slot-partition certificates shared between the
-// speculative mapper's II attempts.
+// II attempts of a warm walk (DecoupledMapper::map_warm), and through the
+// KnowledgeStore between requests.
 //
 // A space refutation at II says "this subset of nodes can never jointly
 // occupy these kernel slots". Under MrrgModel::kRegisterPersistence the
@@ -24,7 +25,7 @@
 //    rotations of the source slots are sound at II' (equal source slots
 //    stay equal; a collision of distinct slots mod II' is a block merge —
 //    coarser, still infeasible) and drop into TimeSession as ordinary
-//    label nogoods, so the speculative SAT search starts warm;
+//    label nogoods, so the SAT search at II' starts warm;
 //  * a prefilter — cert_hits_labels(): the full arbitrary-permutation
 //    check (every block monochromatic in the candidate schedule) applied
 //    to each yielded schedule, catching the relabellings the rotation

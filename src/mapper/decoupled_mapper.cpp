@@ -43,7 +43,6 @@ void merge_attempt_counters(MapResult& into, const MapResult& from) {
   into.budget_shrinks += from.budget_shrinks;
   into.budget_probes += from.budget_probes;
   into.speculative_hits += from.speculative_hits;
-  into.nogoods_lifted_cross_ii += from.nogoods_lifted_cross_ii;
   into.fault_retries += from.fault_retries;
   into.mem_sheds += from.mem_sheds;
   into.mem_peak_bytes = std::max(into.mem_peak_bytes, from.mem_peak_bytes);
@@ -119,8 +118,8 @@ struct WalkSlot {
 
 }  // namespace
 
-/// The one II walk behind map(), map_warm(), map_speculative() and
-/// map_batch(): attempts pinned to one II each (run_mapping_loop) from
+/// The one II walk behind map(), map_warm() and map_batch(): attempts
+/// pinned to one II each (run_mapping_loop) from
 /// max(mII, time.min_ii, refuted floor + 1) up to the ceiling, where a
 /// feasible II commits only once every smaller II is resolved. The walk
 /// owns the policy around the attempts — sound interval, walk-wide schedule
@@ -555,18 +554,25 @@ MapResult DecoupledMapper::map_warm(const Dfg& dfg, const CgraArch& arch,
                                     const Deadline& deadline,
                                     CrossIiNogoodStore* store,
                                     int refuted_floor) const {
+  return walk(dfg, arch, deadline, store, refuted_floor, /*race=*/true);
+}
+
+MapResult DecoupledMapper::walk(const Dfg& dfg, const CgraArch& arch,
+                                const Deadline& deadline,
+                                CrossIiNogoodStore* store, int refuted_floor,
+                                bool race) const {
   const std::unique_ptr<ResourceGovernor> gov =
       make_request_governor(options_.memory_budget_mb);
   const GovernorScope scope(gov.get());
   // Race the IIs above the frontier on idle cores only where that cannot
   // move the answer: when certificates flow between attempts, or attempts
   // share a memory budget, what an attempt sees depends on timing.
-  const bool race = store == nullptr && GovernorScope::current() == nullptr;
-  const auto walk = std::make_shared<IiWalk>(
+  race = race && store == nullptr && GovernorScope::current() == nullptr;
+  const auto ii_walk = std::make_shared<IiWalk>(
       *this, dfg, arch, deadline, store, std::max(0, refuted_floor),
       race ? IiWalk::kFreeHelpers : 0, /*pool=*/nullptr);
-  walk->run();
-  return walk->take();
+  ii_walk->run();
+  return ii_walk->take();
 }
 
 MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
@@ -635,9 +641,7 @@ MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
       for (SlotPartitionCert& cert : fresh) {
         if (cert.source_ii != ii) {
           for (auto& rotation : instantiate_rotations(cert, ii)) {
-            if (time_solver.add_cross_ii_nogood(std::move(rotation))) {
-              ++result.nogoods_lifted_cross_ii;
-            }
+            time_solver.add_cross_ii_nogood(std::move(rotation));
           }
         }
         certs.push_back(std::move(cert));
@@ -867,36 +871,6 @@ MapResult DecoupledMapper::run_mapping_loop(const Dfg& dfg,
   return result;
 }
 
-MapResult DecoupledMapper::map_speculative(const Dfg& dfg,
-                                           const CgraArch& arch,
-                                           const SpeculativeOptions& spec) const {
-  return map_speculative(dfg, arch, default_deadline(options_), spec);
-}
-
-MapResult DecoupledMapper::map_speculative(const Dfg& dfg,
-                                           const CgraArch& arch,
-                                           const Deadline& deadline,
-                                           const SpeculativeOptions& spec) const {
-  const std::unique_ptr<ResourceGovernor> gov =
-      make_request_governor(options_.memory_budget_mb);
-  const GovernorScope scope(gov.get());
-  CrossIiNogoodStore store;
-  store.set_governor(GovernorScope::current());
-  const bool share = spec.share_nogoods &&
-                     options_.space.model == MrrgModel::kRegisterPersistence;
-  // The caller runs the frontier: the pool only holds the other threads.
-  const int helpers = clamp_pool_threads(spec.num_threads) - 1;
-  std::optional<WorkStealingPool> pool;
-  if (helpers > 0) pool.emplace(helpers);
-  const auto walk = std::make_shared<IiWalk>(
-      *this, dfg, arch, deadline, share ? &store : nullptr,
-      /*refuted_floor=*/0, spec.lookahead, pool ? &*pool : nullptr);
-  walk->run();
-  MapResult result = walk->take();
-  if (pool) result.steals = pool->steals();
-  return result;
-}
-
 std::vector<MapResult> DecoupledMapper::map_batch(
     const std::vector<const Dfg*>& dfgs, const CgraArch& arch,
     int num_threads) const {
@@ -921,9 +895,9 @@ std::vector<MapResult> DecoupledMapper::map_batch(
     // lookahead 1, whose helpers are tasks on the same pool. A hard case
     // decomposes into subtasks the other workers steal, instead of pinning
     // one thread for the whole batch. No certificate sharing: batch results
-    // stay bit-exactly what the per-case sequential map() would return (see
-    // SpeculativeOptions::share_nogoods for why warm starts can move the
-    // committed II).
+    // stay bit-exactly what the per-case sequential map() would return
+    // (certificates arriving from racing IIs change the SAT enumeration
+    // order, which can move the committed II).
     const std::unique_ptr<ResourceGovernor> gov =
         make_request_governor(options_.memory_budget_mb);
     const GovernorScope scope(gov.get());

@@ -109,37 +109,6 @@ struct DecoupledMapperOptions {
   std::size_t memory_budget_mb = 0;
 };
 
-/// Speculative cross-II race configuration (map_speculative).
-struct SpeculativeOptions {
-  /// Threads for the II race, the calling thread included (<= 0 = the
-  /// available cores). Always clamped to the available cores: extra
-  /// threads would only timeslice against the frontier attempt. With 1 the
-  /// caller walks every II itself.
-  int num_threads = 4;
-  /// How many IIs beyond the unresolved frontier to keep in flight: with
-  /// lookahead 2, while II is still being refuted II+1 and II+2 already
-  /// run on spare threads. 0 degenerates to one II at a time (still a
-  /// pinned-II replay of the sequential walk, just on a worker thread).
-  int lookahead = 2;
-  /// Share slot-partition certificates across the racing IIs (see
-  /// CrossIiNogoodStore) so speculative IIs start warm. The certificates
-  /// are sound — they prune only schedules whose slot partition some II
-  /// already proved spatially dead, so a feasible II can never be missed
-  /// and the committed mapping always validates — but the injected
-  /// clauses change the SAT enumeration order, which moves the per-II
-  /// retry policy's heuristic give-up points: on borderline cases the
-  /// warm walk can settle one II away from the sequential walk (either
-  /// direction), and which certificates arrive in time depends on thread
-  /// timing. Default OFF, which makes every attempt a pure function of
-  /// its II and the final answer bit-exactly equal to sequential map().
-  /// Turn on for throughput work where "a valid minimal-II-of-its-walk
-  /// mapping, faster" beats "the exact sequential answer". Certificate
-  /// sharing is additionally gated off for MrrgModel::kConsecutiveOnly,
-  /// where cyclic label distances change with II and the partition
-  /// argument does not carry.
-  bool share_nogoods = false;
-};
-
 /// Aggregate telemetry for one map_batch call (the per-case MapResults
 /// cannot carry pool-level counters without double counting).
 struct BatchStats {
@@ -205,16 +174,12 @@ struct MapResult {
   int budget_extensions = 0;
   int budget_shrinks = 0;
   int budget_probes = 0;  // last-chance full-budget searches granted
-  /// Speculative runs: schedules discarded by the cross-II certificate
-  /// prefilter without running a space search (each one is a space search
-  /// another II already paid for).
+  /// Certificate-sharing runs: schedules discarded by the cross-II
+  /// certificate prefilter without running a space search (each one is a
+  /// space search another II or request already paid for). The clauses
+  /// lifted from the certificates are counted in
+  /// time_stats.nogoods_lifted_cross_ii.
   int speculative_hits = 0;
-  /// Speculative runs: label-nogood clauses instantiated from other IIs'
-  /// slot-partition certificates (warm-start volume).
-  int nogoods_lifted_cross_ii = 0;
-  /// Work-stealing pool steals observed by this call (map_speculative
-  /// only; map_batch reports pool-level steals via BatchStats).
-  std::uint64_t steals = 0;
   std::string failure_reason;
   TimeSolverStats time_stats;
   SpaceResult last_space;
@@ -246,10 +211,10 @@ class DecoupledMapper {
   /// per-II policy (nogood feedback, adaptive budgets, last-chance probe)
   /// is the exact code map() runs at one II, so outcome == kRefuted here
   /// means precisely "sequential map() would have escalated past ii".
-  /// When `store` is non-null (speculative runs, register-persistence
-  /// model only) the attempt drains the store into its time solver as
-  /// warm-start clauses + a schedule prefilter, and contributes its own
-  /// refutation certificates back.
+  /// When `store` is non-null (register-persistence model only) the
+  /// attempt drains the store into its time solver as warm-start clauses +
+  /// a schedule prefilter, and contributes its own refutation certificates
+  /// back.
   MapResult map_at_ii(const Dfg& dfg, const CgraArch& arch, int ii,
                       const Deadline& deadline,
                       CrossIiNogoodStore* store = nullptr) const;
@@ -269,25 +234,6 @@ class DecoupledMapper {
                      const Deadline& deadline,
                      CrossIiNogoodStore* store = nullptr,
                      int refuted_floor = 0) const;
-
-  /// Speculative cross-II race: while the lowest unresolved II is still in
-  /// its space/time loop, II+1..II+lookahead already run on spare threads.
-  /// Deterministic commit rule: a feasible II is returned only once every
-  /// strictly smaller II has been refuted, so minimal-II optimality is
-  /// preserved. With the default options each attempt is a pure function
-  /// of its II (no cross-attempt information flow), so the committed II
-  /// bit-exactly equals the sequential map() answer on every input —
-  /// speculation buys wall clock, not a different answer. With
-  /// spec.share_nogoods the attempts additionally exchange slot-partition
-  /// certificates through a CrossIiNogoodStore (see that option's caveat).
-  MapResult map_speculative(const Dfg& dfg, const CgraArch& arch,
-                            const SpeculativeOptions& spec = {}) const;
-
-  /// Like the above under an external deadline (which may carry a
-  /// CancelToken). options_.timeout_s is ignored.
-  MapResult map_speculative(const Dfg& dfg, const CgraArch& arch,
-                            const Deadline& deadline,
-                            const SpeculativeOptions& spec = {}) const;
 
   /// Map a whole batch of DFGs across `num_threads` worker threads
   /// (0 = hardware concurrency). Results are positionally aligned with
@@ -313,6 +259,13 @@ class DecoupledMapper {
 
  private:
   class IiWalk;  // the one II-walk driver behind every public walk
+  friend struct DecoupledMapperTestPeer;  // the helper-free walk
+
+  /// map_warm() with the lookahead window allowed (`race`) or kept shut:
+  /// a shut window runs every II on the calling thread, in order.
+  MapResult walk(const Dfg& dfg, const CgraArch& arch,
+                 const Deadline& deadline, CrossIiNogoodStore* store,
+                 int refuted_floor, bool race) const;
 
   /// One attempt pinned to exactly `ii`: the per-schedule space/time loop
   /// (pull schedules, run or prefilter the space search, feed conflicts

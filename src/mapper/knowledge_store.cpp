@@ -45,7 +45,6 @@ std::uint64_t soundness_fingerprint(const DecoupledMapperOptions& options) {
 
 std::uint64_t options_fingerprint(const DecoupledMapperOptions& options) {
   std::uint64_t h = soundness_fingerprint(options);
-  h = fold(h, static_cast<std::uint64_t>(options.time.engine));
   h = fold(h, static_cast<std::uint64_t>(options.time.max_ii));
   h = fold(h, static_cast<std::uint64_t>(options.time.min_ii));
   const SpaceOptions& s = options.space;

@@ -236,7 +236,7 @@ std::string MappingService::run_map_job(const ServeRequest& req) {
                     int_field("schedules_tried", result.schedules_tried) +
                     "," +
                     int_field("nogoods_lifted_cross_ii",
-                              result.nogoods_lifted_cross_ii) +
+                              result.time_stats.nogoods_lifted_cross_ii) +
                     "," +
                     int_field("speculative_hits", result.speculative_hits) +
                     ",\"degraded\":" +

@@ -1,5 +1,5 @@
 // The work-stealing task pool behind the II walks' helpers and the batch
-// and speculative mappers.
+// mapper.
 //
 // Exceptions matter here: MONOMAP_ASSERT throws a catchable AssertionError
 // by design, but an exception escaping a std::thread body calls

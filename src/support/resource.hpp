@@ -1,7 +1,7 @@
 // Per-request resource governor: a memory budget shared by the subsystems
 // whose footprints actually grow with search effort — the SAT learnt-clause
 // database, the bitset searcher's preallocated domain trails, and the
-// speculative race's CrossIiNogoodStore.
+// warm walk's CrossIiNogoodStore.
 //
 // Subsystems charge their allocations with try_charge() and give the bytes
 // back with uncharge(). A denied charge is the shed signal: the subsystem

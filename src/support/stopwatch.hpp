@@ -31,7 +31,7 @@ class Stopwatch {
 /// through a Deadline at its next periodic expiry check (a caller cuts a
 /// request or a whole batch short with it). A token may be chained to a
 /// parent:
-/// the speculative mapper gives every II attempt its own token parented to
+/// the II walk gives every II attempt its own token parented to
 /// the caller's, so one attempt can be cancelled individually (a smaller II
 /// won) while a caller-level cancel still reaches every attempt.
 class CancelToken {

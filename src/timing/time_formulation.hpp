@@ -94,11 +94,10 @@ class TimeFormulation {
   bool block_labels(const TimeSolution& solution);
 
   /// Forbid every schedule that realises all of the given (node, slot)
-  /// placements simultaneously — the reference-path application of a
-  /// space-conflict nogood (TimeSolver re-applies these after each
-  /// rebuild). Placements a node can never reach in this instance satisfy
-  /// the nogood vacuously. Returns false if the formula became
-  /// unsatisfiable.
+  /// placements simultaneously — a space-conflict nogood, as
+  /// TimeSession::add_label_nogood records it. Placements a node can never
+  /// reach in this instance satisfy the nogood vacuously. Returns false if
+  /// the formula became unsatisfiable.
   bool add_label_nogood(
       const std::vector<std::pair<NodeId, int>>& placements);
 

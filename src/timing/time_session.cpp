@@ -296,7 +296,7 @@ bool TimeSession::extend_horizon() {
 SatStatus TimeSession::solve(const Deadline& deadline) {
   fault::maybe_inject("time.session");
   if (!ok_) return SatStatus::kUnsat;
-  // Early-out before touching the solver: a cancelled speculative attempt
+  // Early-out before touching the solver: a cancelled II attempt
   // (its Deadline's token fired) should stop at the next call boundary
   // instead of paying for a solver round first.
   if (deadline.expired()) return SatStatus::kUnknown;

@@ -1,11 +1,11 @@
-// Incremental per-II time-phase session (the tentpole of the incremental
-// time engine).
+// Incremental per-II time-phase session: the time engine behind
+// TimeSolver.
 //
-// The reference path (TimeSolver + TimeFormulation with
-// TimeEngine::kReference) rebuilds the whole SAT encoding and a fresh
-// solver for every (II, horizon-extension) instance, so a space failure or
-// an UNSAT horizon teaches the next query nothing. A TimeSession instead
-// owns ONE SatSolver for all horizon extensions of one II:
+// A fresh TimeFormulation encodes one (II, horizon) instance with its own
+// solver, so a space failure or an UNSAT horizon would teach the next query
+// nothing. A TimeSession instead owns ONE SatSolver for all horizon
+// extensions of one II (tests/time_engines_test.cpp checks every extension
+// against a fresh TimeFormulation at the same horizon):
 //
 //  * Horizon activation is an assumption literal S_e per extension level.
 //    The at-least-one ("node v is scheduled somewhere in its window")

@@ -2,18 +2,9 @@
 
 #include <algorithm>
 
-#include "sched/asap_alap.hpp"
 #include "support/log.hpp"
 
 namespace monomap {
-
-const char* to_string(TimeEngine engine) {
-  switch (engine) {
-    case TimeEngine::kIncremental: return "incremental";
-    case TimeEngine::kReference: return "reference";
-  }
-  return "?";
-}
 
 TimeSolver::TimeSolver(const Dfg& dfg, const CgraArch& arch,
                        TimeSolverOptions options)
@@ -30,96 +21,52 @@ TimeSolver::TimeSolver(const Dfg& dfg, const CgraArch& arch,
                   : std::max(mii_.mii(), std::max(1, dfg.num_nodes()))),
       ii_(std::max(mii_.mii(), options.min_ii)) {
   MONOMAP_ASSERT(dfg.num_nodes() > 0);
-  extension_ = -1;  // advance_instance() pre-increments (reference path)
 }
 
 TimeSolver::~TimeSolver() = default;
 
 void TimeSolver::enter_next_ii() {
-  formulation_.reset();
   session_.reset();
   ii_nogoods_.clear();
   seen_nogoods_.clear();
   instance_ok_ = false;
-  extension_ = -1;
   reseed_salt_ = 0;
   ++ii_;
 }
 
 bool TimeSolver::advance_instance() {
-  if (options_.engine == TimeEngine::kIncremental) {
-    for (;;) {
-      if (ii_ > max_ii_) return false;
-      if (!session_) {
-        session_ = std::make_unique<TimeSession>(dfg_, arch_, ii_,
-                                                 options_.constraints);
-        extension_ = 0;
-        ++stats_.sessions_created;
-        ++stats_.instances_built;
-        // Arm cross-II nogoods that were injected before the session
-        // existed (empty outside speculative runs).
-        for (const auto& nogood : ii_nogoods_) {
-          session_->add_label_nogood(nogood);
-        }
-      } else {
-        if (extension_ >= options_.max_horizon_extension) {
-          enter_next_ii();
-          continue;
-        }
-        ++extension_;
-        ++stats_.horizon_extensions;
-        ++stats_.instances_built;
-        session_->extend_horizon();
-      }
-      if (session_->ok()) {
-        instance_ok_ = true;
-        stats_.last_formulation = session_->stats();
-        return true;
-      }
-      // The session's formula died without assumptions: every further
-      // extension is a superset, so the whole II is exhausted.
-      enter_next_ii();
-    }
-  }
   for (;;) {
-    ++extension_;
-    if (extension_ > options_.max_horizon_extension) {
-      enter_next_ii();
-      ++extension_;  // enter_next_ii resets to -1; this instance is 0
-    }
-    if (ii_ > max_ii_) {
-      return false;  // also covers mII already above the configured cap
-    }
-    const int horizon = critical_path_length(dfg_) + extension_;
-    formulation_ = std::make_unique<TimeFormulation>(
-        dfg_, arch_, ii_, horizon, options_.constraints);
-    ++stats_.instances_built;
-    if (formulation_->build()) {
-      // Re-arm the space-conflict nogoods recorded at this II; a rebuild
-      // must keep pruning exactly what the incremental session prunes.
-      bool alive = true;
+    if (ii_ > max_ii_) return false;
+    if (!session_) {
+      session_ = std::make_unique<TimeSession>(dfg_, arch_, ii_,
+                                               options_.constraints);
+      extension_ = 0;
+      ++stats_.sessions_created;
+      ++stats_.instances_built;
+      // Arm the cross-II nogoods injected before the session existed.
       for (const auto& nogood : ii_nogoods_) {
-        if (!formulation_->add_label_nogood(nogood)) {
-          alive = false;
-          break;
-        }
+        session_->add_label_nogood(nogood);
       }
-      if (alive) {
-        instance_ok_ = true;
-        stats_.last_formulation = formulation_->stats();
-        return true;
+      ii_nogoods_.clear();
+    } else {
+      if (extension_ >= options_.max_horizon_extension) {
+        enter_next_ii();
+        continue;
       }
+      ++extension_;
+      ++stats_.horizon_extensions;
+      ++stats_.instances_built;
+      session_->extend_horizon();
     }
-    // Trivially unsatisfiable (e.g. capacity cannot fit); try next instance.
-    instance_ok_ = false;
+    if (session_->ok()) {
+      instance_ok_ = true;
+      stats_.last_formulation = session_->stats();
+      return true;
+    }
+    // The session's formula died without assumptions: every further
+    // extension is a superset, so the whole II is exhausted.
+    enter_next_ii();
   }
-}
-
-bool TimeSolver::skip_to_next_ii() {
-  last_solution_.reset();
-  last_blocked_by_nogood_ = false;
-  enter_next_ii();
-  return ii_ <= max_ii_;
 }
 
 bool TimeSolver::add_space_nogood(const TimeSolution& solution,
@@ -153,15 +100,7 @@ bool TimeSolver::add_space_nogood(const TimeSolution& solution,
     }
     if (!seen_nogoods_.insert(rotated).second) continue;
     if (k > 0) ++stats_.nogoods_lifted;
-    if (options_.engine == TimeEngine::kIncremental) {
-      if (session_) session_->add_label_nogood(rotated);
-    } else {
-      if (formulation_ && instance_ok_ &&
-          !formulation_->add_label_nogood(rotated)) {
-        instance_ok_ = false;  // every schedule left here is pruned
-      }
-      ii_nogoods_.push_back(std::move(rotated));
-    }
+    if (session_) session_->add_label_nogood(rotated);
   }
   // A nogood whose placements all appear in the pending solution subsumes
   // the blocking clause next() would add for it.
@@ -178,9 +117,9 @@ bool TimeSolver::add_space_nogood(const TimeSolution& solution,
   return true;
 }
 
-bool TimeSolver::add_cross_ii_nogood(
+void TimeSolver::add_cross_ii_nogood(
     std::vector<std::pair<NodeId, int>> placements) {
-  if (placements.empty()) return false;
+  if (placements.empty()) return;
   for (const auto& [v, slot] : placements) {
     MONOMAP_ASSERT(v >= 0 && v < dfg_.num_nodes());
     MONOMAP_ASSERT(slot >= 0 && slot < ii_);
@@ -188,46 +127,26 @@ bool TimeSolver::add_cross_ii_nogood(
   // Canonical node order so identical instantiations from different
   // certificates (or repeated drains) dedupe against each other.
   std::sort(placements.begin(), placements.end());
-  if (!seen_nogoods_.insert(placements).second) return false;
+  if (!seen_nogoods_.insert(placements).second) return;
   ++stats_.nogoods_lifted_cross_ii;
-  if (options_.engine == TimeEngine::kIncremental) {
-    if (session_) session_->add_label_nogood(placements);
-    // Queue for replay in case the II's session is created later (or not
-    // yet); enter_next_ii clears the queue with the II it belongs to.
+  if (session_) {
+    session_->add_label_nogood(placements);
+  } else {
     ii_nogoods_.push_back(std::move(placements));
-    return true;
   }
-  if (formulation_ && instance_ok_ &&
-      !formulation_->add_label_nogood(placements)) {
-    instance_ok_ = false;  // every schedule left here is pruned
-  }
-  ii_nogoods_.push_back(std::move(placements));
-  return true;
 }
 
 std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
-  const bool incremental = options_.engine == TimeEngine::kIncremental;
   // Block the previously yielded solution so the search moves on (unless a
   // space-conflict nogood already subsumes it).
   if (last_solution_.has_value() && instance_ok_) {
-    if (!last_blocked_by_nogood_) {
-      if (incremental) {
-        if (session_) session_->block_labels(*last_solution_);
-      } else if (formulation_ &&
-                 !formulation_->block_labels(*last_solution_)) {
-        instance_ok_ = false;  // no more label vectors at this instance
-      }
-    }
+    if (!last_blocked_by_nogood_) session_->block_labels(*last_solution_);
     // The caller rejected the previous schedule (a space failure):
     // re-seed the warm session's phases with a rotated preference so the
     // next model comes from a structurally different schedule family
     // instead of phase saving drifting to the nearest neighbour of the
-    // blocked one. Measured on the 8x8 suite this keeps the achieved II
-    // at parity with the reference engine on every instance (drift-only
-    // retries lose an II level on cfd).
-    if (incremental && session_) {
-      session_->reseed_phases(++reseed_salt_);
-    }
+    // blocked one (drift-only retries lose an II level on cfd).
+    session_->reseed_phases(++reseed_salt_);
   }
   last_solution_.reset();
   last_blocked_by_nogood_ = false;
@@ -244,18 +163,12 @@ std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
       continue;
     }
     ++stats_.sat_calls;
-    SatStatus status;
-    if (incremental) {
-      ++stats_.assumptions_used;  // one horizon selector per call
-      status = session_->solve(deadline);
-      stats_.learnt_retained = session_->num_learnts();
-      stats_.last_formulation = session_->stats();
-    } else {
-      status = formulation_->solve(deadline);
-    }
+    ++stats_.assumptions_used;  // one horizon selector per call
+    const SatStatus status = session_->solve(deadline);
+    stats_.learnt_retained = session_->num_learnts();
+    stats_.last_formulation = session_->stats();
     if (status == SatStatus::kSat) {
-      TimeSolution solution =
-          incremental ? session_->extract() : formulation_->extract();
+      TimeSolution solution = session_->extract();
       MONOMAP_DEBUG("time solution at II=" << ii_ << " horizon="
                                            << solution.horizon);
       last_solution_ = solution;
@@ -265,19 +178,13 @@ std::optional<TimeSolution> TimeSolver::next(const Deadline& deadline) {
     }
     if (status == SatStatus::kUnknown) {
       timed_out_ = true;
-      if (incremental ? (session_ && session_->last_solve_memory_out())
-                      : (formulation_ &&
-                         formulation_->last_solve_memory_out())) {
-        memory_out_ = true;
-      }
+      if (session_->last_solve_memory_out()) memory_out_ = true;
       return std::nullopt;
     }
-    // UNSAT: exhaust this instance, move on. A session refutation that did
-    // not rest on the horizon selector exhausts the whole II at once.
+    // UNSAT: exhaust this instance, move on. A refutation that did not
+    // rest on the horizon selector exhausts the whole II at once.
     instance_ok_ = false;
-    if (incremental && session_ && session_->unsat_is_final()) {
-      enter_next_ii();
-    }
+    if (session_->unsat_is_final()) enter_next_ii();
   }
 }
 

@@ -8,15 +8,11 @@
 // conflict explanation back as a nogood that prunes whole families of
 // schedules, not just the failed label vector.
 //
-// Two engines drive the search:
-//  * TimeEngine::kIncremental (default) — one persistent TimeSession (one
-//    warm SAT solver) per II serves every horizon extension via
-//    assumption literals; learnt clauses, blocked label vectors and
-//    space-conflict nogoods all survive horizon extension.
-//  * TimeEngine::kReference — the original rebuild-per-instance path (a
-//    fresh TimeFormulation per (II, extension)), kept as the independent
-//    oracle for differential testing, mirroring the PR 3 space-engine
-//    pattern.
+// One persistent TimeSession (one warm SAT solver) per II serves every
+// horizon extension via assumption literals; learnt clauses, blocked label
+// vectors and space-conflict nogoods all survive horizon extension.
+// tests/time_engines_test.cpp checks each session instance against a fresh
+// TimeFormulation at the same (II, horizon).
 #ifndef MONOMAP_TIMING_TIME_SOLVER_HPP
 #define MONOMAP_TIMING_TIME_SOLVER_HPP
 
@@ -32,28 +28,14 @@
 
 namespace monomap {
 
-/// Time-search engine (see tests/time_engines_test.cpp for the
-/// differential harness).
-enum class TimeEngine {
-  /// Persistent per-II session: incremental horizon extension under
-  /// assumption literals, learnt-clause reuse, nogood accumulation.
-  kIncremental,
-  /// Rebuild-per-instance reference path (nogoods are re-applied after
-  /// every rebuild so both engines prune the same schedules).
-  kReference,
-};
-
-const char* to_string(TimeEngine engine);
-
 struct TimeSolverOptions {
   TimeConstraintOptions constraints;
-  TimeEngine engine = TimeEngine::kIncremental;
   /// Highest II to try; 0 = automatic (max(mII, #nodes) — at II = #nodes a
   /// fully sequential schedule always satisfies capacity and connectivity).
   int max_ii = 0;
   /// Lowest II to try; the search starts at max(mII, min_ii). Setting
-  /// min_ii == max_ii pins the solver to exactly one II — the speculative
-  /// mapper runs one such pinned solver per racing II.
+  /// min_ii == max_ii pins the solver to exactly one II — the mapper's II
+  /// walk runs one such pinned solver per attempt.
   int min_ii = 0;
   /// Extra schedule steps to try beyond the critical path at each II before
   /// giving the II up. Adds KMS folds, exactly like the paper's iterative
@@ -66,13 +48,12 @@ struct TimeSolverStats {
   int sat_calls = 0;
   int solutions_yielded = 0;
   int final_ii = 0;
-  // Incremental-engine reuse counters (zero on the reference path where
-  // noted).
+  // Session reuse counters.
   int sessions_created = 0;      // warm solvers built (one per II reached)
-  int horizon_extensions = 0;    // in-place window growths (kIncremental)
+  int horizon_extensions = 0;    // in-place window growths
   int assumptions_used = 0;      // assumption literals passed to solves
   int learnt_retained = 0;       // learnt clauses alive after the last call
-  // Space-conflict feedback (both engines).
+  // Space-conflict feedback.
   int nogoods_added = 0;         // distinct space conflicts recorded
   int narrow_nogoods = 0;        // nogoods over a strict subset of nodes
   int nogoods_lifted = 0;        // extra rotation clauses derived from them
@@ -101,11 +82,6 @@ class TimeSolver {
   /// timed_out()).
   std::optional<TimeSolution> next(const Deadline& deadline);
 
-  /// Abandon the current II entirely (the mapper calls this when several
-  /// schedules at this II failed in space) and continue at II+1. Returns
-  /// false if II+1 exceeds max_ii.
-  bool skip_to_next_ii();
-
   /// Record a space-conflict nogood against the current II: the subset
   /// `nodes` of `solution`'s nodes cannot jointly take their labelled
   /// slots, so prune every schedule that repeats those placements. Because
@@ -116,7 +92,7 @@ class TimeSolver {
   /// each — so a refuted schedule family takes its rotated twins down with
   /// it. Conflicts already covered by a recorded nogood are skipped
   /// (stats().nogoods_deduped). Nogoods persist across horizon extensions
-  /// of the II (and rebuilds on the reference path) and subsume blocking
+  /// of the II and subsume blocking
   /// `solution` itself. Returns false if `solution` is not from the
   /// current II.
   bool add_space_nogood(const TimeSolution& solution,
@@ -128,8 +104,9 @@ class TimeSolver {
   /// infeasible here too. Unlike add_space_nogood no further rotation
   /// lifting happens (the caller instantiates every rotation itself).
   /// Safe to call before the first next(): the clause is queued and armed
-  /// when the II's solver comes up. Returns true when the nogood was new.
-  bool add_cross_ii_nogood(std::vector<std::pair<NodeId, int>> placements);
+  /// when the II's solver comes up. A nogood already recorded at this II is
+  /// skipped; stats().nogoods_lifted_cross_ii counts the new ones.
+  void add_cross_ii_nogood(std::vector<std::pair<NodeId, int>> placements);
 
   [[nodiscard]] int current_ii() const { return ii_; }
   /// Effective inclusive II ceiling (options.max_ii, or the automatic
@@ -153,15 +130,11 @@ class TimeSolver {
   int max_ii_;
   int ii_;
   int extension_ = 0;
-  // kReference engine state: one formulation per (ii, extension), plus the
-  // nogoods recorded at this II (rotations included) for re-application
-  // after each rebuild. The incremental engine also queues cross-II
-  // nogoods here when they arrive before the II's session exists.
-  std::unique_ptr<TimeFormulation> formulation_;
+  // Cross-II nogoods injected at this II, armed when its session comes up.
   std::vector<std::vector<std::pair<NodeId, int>>> ii_nogoods_;
   // Conflicts recorded at this II, every rotation of each — the dedupe set.
   std::set<std::vector<std::pair<NodeId, int>>> seen_nogoods_;
-  // kIncremental engine state: one warm session per II.
+  // One warm session per II.
   std::unique_ptr<TimeSession> session_;
   int reseed_salt_ = 0;  // phase-diversification counter at this II
   std::optional<TimeSolution> last_solution_;

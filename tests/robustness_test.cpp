@@ -21,6 +21,7 @@
 
 #include "mapper/cross_ii_store.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "mapper/decoupled_mapper_test_peer.hpp"
 #include "support/fault.hpp"
 #include "support/outcome.hpp"
 #include "support/parallel.hpp"
@@ -276,9 +277,9 @@ TEST(Anytime, DegradedModeIsDeterministic) {
                   .empty());
 }
 
-TEST(Anytime, ColdWarmAndSpeculativeWalksAgree) {
-  // One anytime request, three entry points: they share one II walk, so a
-  // deterministic budget cut must end the same way through each of them.
+TEST(Anytime, ColdAndWarmWalksAgree) {
+  // One anytime request, two entry points: they share one II walk, so a
+  // deterministic budget cut must end the same way through both.
   DecoupledMapperOptions opt = base_options();
   opt.anytime = true;
   opt.max_schedules = 6;
@@ -287,16 +288,10 @@ TEST(Anytime, ColdWarmAndSpeculativeWalksAgree) {
   const CgraArch arch = CgraArch::square(4);
   const MapResult cold = mapper.map(b.dfg, arch);
   const MapResult warm = mapper.map_warm(b.dfg, arch, Deadline(120.0));
-  SpeculativeOptions spec;
-  spec.lookahead = 0;
-  spec.num_threads = 1;
-  const MapResult speculative = mapper.map_speculative(b.dfg, arch, spec);
-  for (const MapResult* r : {&warm, &speculative}) {
-    EXPECT_EQ(r->outcome, cold.outcome) << to_string(r->outcome);
-    EXPECT_EQ(r->ii, cold.ii);
-    EXPECT_EQ(r->ii_lo, cold.ii_lo);
-    EXPECT_EQ(r->schedules_tried, cold.schedules_tried);
-  }
+  EXPECT_EQ(warm.outcome, cold.outcome) << to_string(warm.outcome);
+  EXPECT_EQ(warm.ii, cold.ii);
+  EXPECT_EQ(warm.ii_lo, cold.ii_lo);
+  EXPECT_EQ(warm.schedules_tried, cold.schedules_tried);
 }
 
 TEST(Anytime, RefutationBelowMiiIsSoundAndRefutedOutcome) {
@@ -525,10 +520,7 @@ TEST(FaultSweep, SpeculativeSurvivesPermanentFaults) {
   const CgraArch arch = CgraArch::square(4);
   DecoupledMapperOptions opt = base_options();
   opt.timeout_s = 20.0;
-  SpeculativeOptions spec;
-  spec.num_threads = 2;
-  const MapResult r =
-      DecoupledMapper(opt).map_speculative(b.dfg, arch, spec);
+  const MapResult r = DecoupledMapper(opt).map(b.dfg, arch);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kFault);
 }
@@ -541,11 +533,8 @@ TEST(FaultSweep, HelperPoolWorkerFaultsLeaveMapSequential) {
   // ends.
   const Benchmark& b = benchmark_by_name("hotspot3D");
   const CgraArch arch = CgraArch::square(4);
-  SpeculativeOptions one_thread;
-  one_thread.num_threads = 1;
-  one_thread.lookahead = 0;
-  const MapResult walked =
-      DecoupledMapper(base_options()).map_speculative(b.dfg, arch, one_thread);
+  const MapResult walked = DecoupledMapperTestPeer::map_one_thread(
+      DecoupledMapper(base_options()), b.dfg, arch);
   ASSERT_TRUE(walked.success) << walked.failure_reason;
   ASSERT_GT(walked.ii, walked.mii.mii());
   const FaultGuard guard;

@@ -1,12 +1,11 @@
-// Speculative cross-II race (map_speculative) and the cross-II
-// slot-partition certificate store.
+// map()'s cross-II race and the cross-II slot-partition certificate store.
 //
 // The load-bearing property is determinism: the race may only buy wall
 // clock, never change the answer — the committed II must equal what the
-// sequential map() walk finds, because a feasible II commits only after
-// every strictly smaller II has been refuted. The tests here pin that
-// agreement across the suite and random DFGs, check the certificate
-// machinery's soundness against both time engines, and stress the
+// helper-free walk (every II on the calling thread, in order) finds,
+// because a feasible II commits only after every strictly smaller II has
+// been refuted. The tests here pin that agreement across the suite and
+// random DFGs, check the certificate machinery's soundness, and stress the
 // cancellation plumbing (run these under ThreadSanitizer via
 // -DMONOMAP_TSAN=ON to check the pool and store synchronisation).
 #include <chrono>
@@ -18,6 +17,7 @@
 
 #include "mapper/cross_ii_store.hpp"
 #include "mapper/decoupled_mapper.hpp"
+#include "mapper/decoupled_mapper_test_peer.hpp"
 #include "support/parallel.hpp"
 #include "workloads/suite.hpp"
 #include "workloads/synthetic.hpp"
@@ -31,32 +31,23 @@ DecoupledMapperOptions fast_options() {
   return opt;
 }
 
-SpeculativeOptions race_options() {
-  SpeculativeOptions spec;
-  spec.num_threads = 4;  // clamped to the machine's cores internally
-  spec.lookahead = 2;
-  return spec;
+MapResult one_thread_walk(const DecoupledMapper& mapper, const Dfg& dfg,
+                          const CgraArch& arch) {
+  return DecoupledMapperTestPeer::map_one_thread(mapper, dfg, arch);
 }
 
-SpeculativeOptions warm_options() {
-  SpeculativeOptions spec = race_options();
-  spec.share_nogoods = true;
-  return spec;
-}
-
-/// Determinism on the suite: the default (cold) race and sequential agree
+/// Determinism on the suite: map()'s race and the helper-free walk agree
 /// on feasibility and on the exact final II. Grid 5 is load-bearing: it
-/// is where a certificate-warmed walk historically settled one II above
-/// sequential on hotspot3D (which is why share_nogoods defaults to off).
+/// is where a certificate-warmed race historically settled one II above
+/// the walk on hotspot3D.
 TEST(SpeculativeMapper, MatchesSequentialOnSuiteGrids) {
   const DecoupledMapper mapper(fast_options());
   for (const char* name : {"bitcount", "fft", "nw", "hotspot3D", "cfd"}) {
     const Benchmark& b = benchmark_by_name(name);
     for (const int side : {4, 5, 8}) {
       const CgraArch arch = CgraArch::square(side);
-      const MapResult seq = mapper.map(b.dfg, arch);
-      const MapResult spec = mapper.map_speculative(b.dfg, arch,
-                                                    race_options());
+      const MapResult seq = one_thread_walk(mapper, b.dfg, arch);
+      const MapResult spec = mapper.map(b.dfg, arch);
       ASSERT_EQ(seq.success, spec.success)
           << name << " " << side << "x" << side << ": "
           << spec.failure_reason;
@@ -69,7 +60,8 @@ TEST(SpeculativeMapper, MatchesSequentialOnSuiteGrids) {
   }
 }
 
-/// Determinism across 10 random DFGs: same final II as sequential map().
+/// Determinism across 10 random DFGs: map() lands on the helper-free
+/// walk's final II.
 TEST(SpeculativeMapper, MatchesSequentialOnRandomDfgs) {
   const DecoupledMapper mapper(fast_options());
   const CgraArch arch = CgraArch::square(4);
@@ -78,32 +70,14 @@ TEST(SpeculativeMapper, MatchesSequentialOnRandomDfgs) {
     dfg_spec.num_nodes = 18;
     dfg_spec.seed = seed;
     const Dfg dfg = random_dfg(dfg_spec);
-    const MapResult seq = mapper.map(dfg, arch);
-    const MapResult spec = mapper.map_speculative(dfg, arch, race_options());
+    const MapResult seq = one_thread_walk(mapper, dfg, arch);
+    const MapResult spec = mapper.map(dfg, arch);
     ASSERT_EQ(seq.success, spec.success) << "seed " << seed;
     if (seq.success) {
       EXPECT_EQ(seq.ii, spec.ii) << "seed " << seed;
       EXPECT_TRUE(mapping_is_valid(dfg, arch, spec.mapping)) << seed;
     }
   }
-}
-
-/// Lookahead 0 degenerates to the sequential walk run on a worker thread:
-/// same answer and the same work.
-TEST(SpeculativeMapper, ZeroLookaheadStillMatches) {
-  const DecoupledMapper mapper(fast_options());
-  const Benchmark& b = benchmark_by_name("hotspot3D");
-  const CgraArch arch = CgraArch::square(4);
-  SpeculativeOptions spec = race_options();
-  spec.lookahead = 0;
-  const MapResult seq = mapper.map(b.dfg, arch);
-  const MapResult r = mapper.map_speculative(b.dfg, arch, spec);
-  ASSERT_EQ(seq.success, r.success) << r.failure_reason;
-  EXPECT_EQ(seq.ii, r.ii);
-  EXPECT_EQ(seq.schedules_tried, r.schedules_tried);
-  EXPECT_EQ(seq.time_stats.sat_calls, r.time_stats.sat_calls);
-  EXPECT_EQ(seq.space_truncated, r.space_truncated);
-  EXPECT_EQ(seq.ii_lo, r.ii_lo);
 }
 
 /// map() races the IIs above the frontier on the process-wide helper pool
@@ -123,16 +97,13 @@ TEST(SpeculativeMapper, MapEqualsOneThreadZeroLookaheadWalk) {
   }
   cases.push_back({"cfd", 20, {}, {}});
   const DecoupledMapper mapper(fast_options());
-  SpeculativeOptions one_thread;
-  one_thread.num_threads = 1;
-  one_thread.lookahead = 0;
   auto caller = [&](std::size_t first) {
     for (std::size_t i = first; i < cases.size(); i += 2) {
       Case& c = cases[i];
       const Dfg& dfg = benchmark_by_name(c.name).dfg;
       const CgraArch arch = CgraArch::square(c.side);
       c.raced = mapper.map(dfg, arch);
-      c.walked = mapper.map_speculative(dfg, arch, one_thread);
+      c.walked = one_thread_walk(mapper, dfg, arch);
     }
   };
   std::thread second(caller, 1);
@@ -191,11 +162,10 @@ TEST(SpeculativeMapper, MapAtIiMirrorsSequentialDecisions) {
   EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping));
 }
 
-/// Soundness of cross-II certificate lifting, checked against BOTH time
-/// engines: certificates harvested from refuted lower IIs are injected
-/// into an attempt at the feasible II, which must still find a valid
-/// mapping at the same II — the lifted clauses prune relabelings of dead
-/// placements, never a placeable schedule.
+/// Soundness of cross-II certificate lifting: certificates harvested from
+/// refuted lower IIs are injected into an attempt at the feasible II, which
+/// must still find a valid mapping at the same II — the lifted clauses
+/// prune relabelings of dead placements, never a placeable schedule.
 TEST(SpeculativeMapper, CrossIiCertificatesAreSoundOnBothEngines) {
   DecoupledMapperOptions opt = fast_options();
   const DecoupledMapper mapper(opt);
@@ -217,40 +187,12 @@ TEST(SpeculativeMapper, CrossIiCertificatesAreSoundOnBothEngines) {
       << "the refuted IIs produced no certificates — the lifting channel "
          "is not being exercised";
 
-  for (const TimeEngine engine :
-       {TimeEngine::kIncremental, TimeEngine::kReference}) {
-    DecoupledMapperOptions eopt = fast_options();
-    eopt.time.engine = engine;
-    const MapResult r = DecoupledMapper(eopt).map_at_ii(
-        b.dfg, arch, seq.ii, Deadline(120.0), &store);
-    ASSERT_TRUE(r.success)
-        << to_string(engine) << ": " << r.failure_reason;
-    EXPECT_EQ(r.ii, seq.ii) << to_string(engine);
-    EXPECT_GT(r.nogoods_lifted_cross_ii, 0) << to_string(engine);
-    EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping))
-        << to_string(engine);
-  }
-}
-
-/// The warm (share_nogoods) flavour gives up bit-exact agreement with
-/// sequential — certificate arrival can move the retry policy's give-up
-/// points — but never soundness: it must always produce a mapping that
-/// validates, at an II no better than feasibility allows.
-TEST(SpeculativeMapper, WarmStartStaysSoundAndValid) {
-  const DecoupledMapper mapper(fast_options());
-  for (const char* name : {"hotspot3D", "cfd"}) {
-    const Benchmark& b = benchmark_by_name(name);
-    for (const int side : {5, 8}) {
-      const CgraArch arch = CgraArch::square(side);
-      const MapResult r =
-          mapper.map_speculative(b.dfg, arch, warm_options());
-      ASSERT_TRUE(r.success) << name << " " << side << ": "
-                             << r.failure_reason;
-      EXPECT_GE(r.ii, r.mii.mii()) << name << " " << side;
-      EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping))
-          << name << " " << side;
-    }
-  }
+  const MapResult r =
+      mapper.map_at_ii(b.dfg, arch, seq.ii, Deadline(120.0), &store);
+  ASSERT_TRUE(r.success) << r.failure_reason;
+  EXPECT_EQ(r.ii, seq.ii);
+  EXPECT_GT(r.time_stats.nogoods_lifted_cross_ii, 0);
+  EXPECT_TRUE(mapping_is_valid(b.dfg, arch, r.mapping));
 }
 
 /// Unit semantics of the certificate store: canonicalisation, dedup,
@@ -313,11 +255,12 @@ TEST(CrossIiStore, PrefilterMatchesCoarserPartitionsOnly) {
   EXPECT_FALSE(cert_hits_labels(certs[0], {0, 1, 1, 1}));
 }
 
-/// Cancellation stress: cancel the race from another thread at varying
-/// points in its life. Every run must come back promptly, and a cut-short
-/// run must report cancelled (not a bare wall-clock timeout). Runs warm
-/// so TSan additionally exercises the certificate store alongside the
-/// token chain and the pool teardown.
+/// Cancellation stress: cancel map() from another thread at varying points
+/// in its life. Every run must come back promptly, and a cut-short run must
+/// report cancelled (not a bare wall-clock timeout). cfd 8x8 fails its
+/// first II, so its walk opens the lookahead window and TSan sees the
+/// cancel reach helper attempts through the token chain, alongside the
+/// helper pool's hand-off.
 TEST(SpeculativeMapper, CancellationStress) {
   const DecoupledMapper mapper(fast_options());
   const Benchmark& b = benchmark_by_name("cfd");
@@ -329,8 +272,7 @@ TEST(SpeculativeMapper, CancellationStress) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       cancel.cancel();
     });
-    const MapResult r =
-        mapper.map_speculative(b.dfg, arch, deadline, warm_options());
+    const MapResult r = mapper.map(b.dfg, arch, deadline);
     axe.join();
     if (r.success) {
       // The race beat the axe; the mapping must still be a real one.
@@ -348,8 +290,7 @@ TEST(SpeculativeMapper, ExpiredDeadlineIsNotReportedAsCancelled) {
   const DecoupledMapper mapper(fast_options());
   const Benchmark& b = benchmark_by_name("fft");
   const CgraArch arch = CgraArch::square(4);
-  const MapResult r =
-      mapper.map_speculative(b.dfg, arch, Deadline(0.0), race_options());
+  const MapResult r = mapper.map(b.dfg, arch, Deadline(0.0));
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.outcome, MapOutcome::kDeadline);
 }

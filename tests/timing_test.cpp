@@ -299,18 +299,6 @@ TEST(TimeSolver, EnumerationYieldsDistinctLabelVectors) {
   EXPECT_GE(seen.size(), 2u);
 }
 
-TEST(TimeSolver, SkipToNextIiRaisesIi) {
-  const Dfg dfg = running_example_dfg();
-  const CgraArch arch = CgraArch::square(2);
-  TimeSolver solver(dfg, arch);
-  const auto first = solver.next(Deadline::unlimited());
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(solver.skip_to_next_ii());
-  const auto second = solver.next(Deadline::unlimited());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->ii, first->ii + 1);
-}
-
 TEST(TimeSolver, HorizonExtensionUnlocksTightCapacity) {
   // A 4-node chain on a 1x1 grid: capacity 1/slot. At II=4 with horizon 4
   // (critical path) each node has a fixed slot — feasible. But 5 nodes with

@@ -16,15 +16,15 @@ schedules_tried for time records) are checked with the same threshold when
 present — they catch search-behaviour regressions independently of machine
 speed.
 
-The speculative-race telemetry counters get a non-vanishing gate instead
-of a ratio (their magnitudes are scheduling-dependent): once a baseline
-recorded nogoods_lifted_cross_ii as active (sum > 0 over the paired rows)
-a fresh run summing to exactly 0 fails — certificate lifting follows
-deterministically from lower-II refutations, so its disappearance means
-the channel's wiring went dead. speculative_hits and steals vanishing is
-only *noted*: both legitimately go to zero on a machine with fewer cores
-(no overlap, no steals). Rows or whole baselines predating a counter are
-tolerated (the counter is simply absent there).
+The cross-II certificate telemetry counters get a non-vanishing gate
+instead of a ratio: once a baseline recorded nogoods_lifted_cross_ii as
+active (sum > 0 over the paired rows) a fresh run summing to exactly 0
+fails — certificate lifting follows deterministically from lower-II
+refutations, so its disappearance means the channel's wiring went dead.
+speculative_hits (prefilter hits) vanishing is only *noted*: whether a
+yielded schedule realises a stored certificate depends on the SAT model
+order. Rows or whole baselines predating a counter are tolerated (the
+counter is simply absent there).
 
 Row-set drift: a baseline row missing from the fresh run fails the gate
 (exit 1) when the fresh run covers that row's grid section — a case
@@ -165,17 +165,16 @@ def main():
         if counter != args.metric:
             metrics.append(counter)
 
-    # Activity telemetry is gated on vanishing, not magnitude: the counts
-    # depend on thread scheduling, but a cert-lifting channel that was
-    # active in the baseline (sum > 0 over paired rows) going to exactly
-    # zero means its wiring — or the subsystem it observes — silently
-    # died; lifting follows deterministically from lower-II refutations,
-    # unlike prefilter hits and steals, which legitimately vanish on a
-    # machine with fewer cores (no overlap, no steals) and only warrant a
-    # note. Rows predating a counter simply lack the key and are skipped.
+    # Activity telemetry is gated on vanishing, not magnitude: a
+    # cert-lifting channel that was active in the baseline (sum > 0 over
+    # paired rows) going to exactly zero means its wiring — or the
+    # subsystem it observes — silently died; lifting follows
+    # deterministically from lower-II refutations, unlike prefilter hits,
+    # which hang on the SAT model order and only warrant a note. Rows
+    # predating a counter simply lack the key and are skipped.
     vanished = []
     quiet = []
-    for counter in ("nogoods_lifted_cross_ii", "speculative_hits", "steals"):
+    for counter in ("nogoods_lifted_cross_ii", "speculative_hits"):
         base_sum = fresh_sum = 0.0
         paired = False
         for label, fresh_row in fresh.items():
@@ -212,7 +211,7 @@ def main():
               f"run sums to 0 — the counter (or its subsystem) went dead")
     for counter in quiet:
         print(f"note: {counter}: active in the baseline, 0 in this run "
-              f"(expected on a smaller machine; not gated)")
+              f"(not gated)")
     if checked == 0:
         # A gate that compared nothing (metric missing from this record
         # family, or no paired rows) must not pass silently — that is how

@@ -5,7 +5,7 @@
 //   monomap show <bench|file.dfg>
 //       Print DFG stats, ASAP/ALAP/MobS table and DOT.
 //   monomap map <bench|file.dfg> [--grid N] [--topology mesh|torus|diagonal]
-//               [--timeout S] [--mapper decoupled|speculative|coupled|anneal]
+//               [--timeout S] [--mapper decoupled|coupled|anneal]
 //               [--restricted] [--out mapping.txt]
 //       Compile a DFG and print (or save) the mapping.
 //   monomap check <bench|file.dfg> <mapping.txt> [--grid N] [...]
@@ -40,11 +40,8 @@ struct CliOptions {
   Topology topology = Topology::kMesh;
   double timeout_s = 30.0;
   std::string mapper = "decoupled";
-  TimeEngine time_engine = TimeEngine::kIncremental;
   bool restricted = false;
-  int threads = 0;   // speculative mapper and batch: 0 = auto
-  int lookahead = 2;  // speculative mapper: IIs raced beyond the frontier
-  bool share_nogoods = false;  // speculative: cross-II cert warm start
+  int threads = 0;   // batch: 0 = auto
   std::uint64_t space_budget = 0;    // valid only when space_budget_set
   bool space_budget_set = false;     // --space-budget given (0 = unlimited)
   std::uint64_t shrink_divisor = 0;  // 0 = keep the mapper default
@@ -66,9 +63,7 @@ struct CliOptions {
       "  show <bench|file.dfg>\n"
       "  map <bench|file.dfg> [--grid N] [--topology mesh|torus|diagonal]\n"
       "      [--timeout S]\n"
-      "      [--mapper decoupled|speculative|coupled|anneal]\n"
-      "      [--time-engine incremental|reference] [--threads N]\n"
-      "      [--lookahead N] [--share-nogoods]\n"
+      "      [--mapper decoupled|coupled|anneal]\n"
       "      [--space-budget N] [--shrink-divisor N] [--no-adaptive-budget]\n"
       "      [--no-distance2] [--no-backjump] [--restricted] [--out FILE]\n"
       "      [--space-order dynamic-mrv|sparse-mrv|static]\n"
@@ -151,17 +146,8 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       opt.timeout_s = parse_pos_double(value(), "--timeout");
     } else if (arg == "--mapper") {
       opt.mapper = value();
-    } else if (arg == "--time-engine") {
-      const std::string e = value();
-      if (e == "incremental") opt.time_engine = TimeEngine::kIncremental;
-      else if (e == "reference") opt.time_engine = TimeEngine::kReference;
-      else usage();
     } else if (arg == "--threads") {
       opt.threads = parse_pos_int(value(), "--threads", 0);
-    } else if (arg == "--lookahead") {
-      opt.lookahead = parse_pos_int(value(), "--lookahead", 1);
-    } else if (arg == "--share-nogoods") {
-      opt.share_nogoods = true;
     } else if (arg == "--space-budget") {
       opt.space_budget = parse_u64(value(), "--space-budget");
       opt.space_budget_set = true;
@@ -253,10 +239,9 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
   // Outcome-taxonomy exit code (decoupled-family mappers); the legacy
   // coupled/anneal paths keep the historical 0/1.
   std::optional<int> exit_override;
-  if (opt.mapper == "decoupled" || opt.mapper == "speculative") {
+  if (opt.mapper == "decoupled") {
     DecoupledMapperOptions mopt;
     mopt.timeout_s = opt.timeout_s;
-    mopt.time.engine = opt.time_engine;
     mopt.adaptive_space_budget = opt.adaptive_budget;
     mopt.space.distance2_filter = opt.distance2;
     mopt.space.backjumping = opt.backjump;
@@ -283,20 +268,7 @@ int cmd_map(const std::string& spec, const CliOptions& opt) {
     if (opt.restricted) {
       mopt.space.model = MrrgModel::kConsecutiveOnly;
     }
-    const DecoupledMapper mapper(mopt);
-    MapResult r;
-    if (opt.mapper == "speculative") {
-      SpeculativeOptions sopt;
-      sopt.num_threads = opt.threads;
-      sopt.lookahead = opt.lookahead;
-      sopt.share_nogoods = opt.share_nogoods;
-      r = mapper.map_speculative(dfg, arch, sopt);
-      std::cout << "speculative: " << r.speculative_hits
-                << " prefilter hits, " << r.nogoods_lifted_cross_ii
-                << " cross-II nogoods lifted, " << r.steals << " steals\n";
-    } else {
-      r = mapper.map(dfg, arch);
-    }
+    const MapResult r = DecoupledMapper(mopt).map(dfg, arch);
     if (r.success) {
       mapping = r.mapping;
       ii = r.ii;
@@ -386,7 +358,6 @@ int cmd_batch(const std::vector<std::string>& specs, const CliOptions& opt) {
   const CgraArch arch(opt.grid, opt.grid, opt.topology);
 
   DecoupledMapperOptions mopt;
-  mopt.time.engine = opt.time_engine;
   mopt.anytime = opt.anytime;
   mopt.max_schedules = opt.max_schedules;
   mopt.memory_budget_mb = opt.mem_budget_mb;
